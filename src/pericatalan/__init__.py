@@ -56,7 +56,6 @@ from .freewords import (
     is_reduced_triality,
     nodal_class,
     normalize_full,
-    op_algebra,
     parse_word,
 )
 

@@ -1,7 +1,7 @@
 """Command line front end: pcat <subcommand>.
 
-Exit codes: 0 success, 1 oracle mismatch, 2 domain error, 3 cache
-error, 4 resource-guard refusal.
+Exit codes: 0 success, 1 oracle mismatch, 2 domain error, 3 cache or
+output file could not be read or written, 4 resource-guard refusal.
 """
 
 import argparse
@@ -9,8 +9,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 
 from . import asymptotics, enumeration, freewords
 from .errors import CacheError, DomainError, ResourceGuardError
@@ -28,28 +26,6 @@ REF_INTERCEPT = -1.102
 REF_FIT_A = 0.01929
 REF_FIT_B = 0.4811
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    s: int | None = None
-    s_list: tuple | None = None
-    s_max: int | None = None
-    n: int | None = None
-    n_max: int | None = None
-    n_min: int | None = None
-    mode: str = "exact"
-    fmt: str = "text"
-    out: str | None = None
-    cache_dir: str | None = None
-    budget: int | None = None
-    max_length: int | None = None
-    proxy_n: int = 2000
-    rooted: tuple | None = None
-    word: str | None = None
-    dump_class: bool = False
-    force_exact: bool = False
 
 
 def _int_list(text):
@@ -122,134 +98,118 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for field in ("s", "s_list", "s_max", "n", "n_max", "n_min", "mode", "fmt", "out",
-                  "budget", "max_length", "proxy_n", "rooted", "word", "dump_class", "force_exact"):
-        if hasattr(ns, field):
-            setattr(cfg, field, getattr(ns, field))
-    cfg.cache_dir = getattr(ns, "cache_dir", None) or os.environ.get("PCAT_CACHE_DIR")
-    return cfg
-
-
 def _emit(out_path, text):
     if out_path is None:
         sys.stdout.write(text)
         return
-    d = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".pcat-out-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        enumeration.write_atomic(out_path, text)
+    except OSError as e:
+        raise CacheError(f"cannot write output file {out_path}: {e}") from e
 
 
 def _note(msg):
     print(f"note: {msg}", file=sys.stderr)
 
 
-def _check_exact_ceiling(cfg, n):
-    if n > EXACT_CEILING and not cfg.force_exact:
+def _check_exact_ceiling(args, n):
+    if n > EXACT_CEILING and not args.force_exact:
         raise ResourceGuardError(f"exact mode past n={EXACT_CEILING} needs --force-exact (requested n={n})")
 
 
-def _exact_value(cfg, s, n):
-    if cfg.cache_dir is not None:
-        return enumeration.build_table(s, n, cfg.cache_dir)[n]
+def _exact_value(args, s, n):
+    if args.cache_dir is not None:
+        return enumeration.build_table(s, n, args.cache_dir)[n]
     return enumeration.peri_catalan(s, n)
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    if cfg.s == 0 or cfg.n == 0:
-        _note(f"degenerate input s={cfg.s} n={cfg.n}: no such words, count is 0")
-        _emit(cfg.out, "0\n")
+def cmd_compute(args) -> int:
+    if args.s == 0 or args.n == 0:
+        _note(f"degenerate input s={args.s} n={args.n}: no such words, count is 0")
+        _emit(args.out, "0\n")
         return EXIT_OK
-    if cfg.s < 1 or cfg.n < 1:
-        raise DomainError(f"compute needs s >= 1 and n >= 1, got s={cfg.s} n={cfg.n}")
-    if cfg.mode == "exact":
-        _check_exact_ceiling(cfg, cfg.n)
-        _emit(cfg.out, f"{_exact_value(cfg, cfg.s, cfg.n)}\n")
+    if args.s < 1 or args.n < 1:
+        raise DomainError(f"compute needs s >= 1 and n >= 1, got s={args.s} n={args.n}")
+    if args.mode == "exact":
+        _check_exact_ceiling(args, args.n)
+        _emit(args.out, f"{_exact_value(args, args.s, args.n)}\n")
     else:
-        table = asymptotics.log_peri_table(cfg.s, max(cfg.n, 2))
-        _emit(cfg.out, f"{table.log_value(cfg.n):.6g}\n")
+        table = asymptotics.log_peri_table(args.s, max(args.n, 2))
+        _emit(args.out, f"{table.log_value(args.n):.6g}\n")
     return EXIT_OK
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    if not cfg.s_list:
+def cmd_table(args) -> int:
+    if not args.s_list:
         raise DomainError("table needs a nonempty --s-list")
-    if cfg.n_max < 1:
-        raise DomainError(f"table needs n_max >= 1, got {cfg.n_max}")
-    if any(s < 0 for s in cfg.s_list):
-        raise DomainError(f"table needs s >= 0, got {cfg.s_list}")
-    _check_exact_ceiling(cfg, cfg.n_max)
-    if 0 in cfg.s_list:
+    if args.n_max < 1:
+        raise DomainError(f"table needs n_max >= 1, got {args.n_max}")
+    if any(s < 0 for s in args.s_list):
+        raise DomainError(f"table needs s >= 0, got {args.s_list}")
+    _check_exact_ceiling(args, args.n_max)
+    if 0 in args.s_list:
         _note("degenerate s=0 in list: no such words, all counts are 0")
     columns = {}
-    for s in cfg.s_list:
+    for s in args.s_list:
         if s == 0:
-            columns[s] = [0] * (cfg.n_max + 1)
+            columns[s] = [0] * (args.n_max + 1)
         else:
-            columns[s] = enumeration.build_table(s, cfg.n_max, cfg.cache_dir).values
-    rows = [(n, s, columns[s][n]) for n in range(1, cfg.n_max + 1) for s in cfg.s_list]
-    if cfg.fmt == "csv":
+            columns[s] = enumeration.build_table(s, args.n_max, args.cache_dir).values
+    rows = [(n, s, columns[s][n]) for n in range(1, args.n_max + 1) for s in args.s_list]
+    if args.fmt == "csv":
         body = "n,s,P\n" + "".join(f"{n},{s},{p}\n" for n, s, p in rows)
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         body = json.dumps([{"n": n, "s": s, "P": p} for n, s, p in rows], indent=2) + "\n"
     else:
         width = max((len(str(p)) for _, _, p in rows), default=1)
         body = "".join(f"n={n:<4d} s={s:<4d} P={p:>{width}}\n" for n, s, p in rows)
-    _emit(cfg.out, body)
+    _emit(args.out, body)
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    if cfg.s < 1:
-        raise DomainError(f"oracle needs s >= 1, got {cfg.s}")
+def cmd_oracle(args) -> int:
+    if args.s < 1:
+        raise DomainError(f"oracle needs s >= 1, got {args.s}")
     kwargs = {}
-    if cfg.max_length is not None:
-        kwargs["max_length"] = cfg.max_length
-    if cfg.budget is not None:
-        kwargs["budget"] = cfg.budget
+    if args.max_length is not None:
+        kwargs["max_length"] = args.max_length
+    if args.budget is not None:
+        kwargs["budget"] = args.budget
     lines = []
     ok = True
-    if cfg.rooted is not None:
-        a, b = cfg.rooted
-        expected = enumeration.aux_bivariate(cfg.s, a, b)
+    if args.rooted is not None:
+        a, b = args.rooted
+        expected = enumeration.aux_bivariate(args.s, a, b)
         for op in freewords.ALL_OPS:
-            got = freewords.count_reduced_rooted(cfg.s, a, b, op, **kwargs)
+            got = freewords.count_reduced_rooted(args.s, a, b, op, **kwargs)
             match = got == expected
             ok = ok and match
-            lines.append(f"s={cfg.s} a={a} b={b} root={op.name} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
+            lines.append(f"s={args.s} a={a} b={b} root={op.name} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
     else:
-        if cfg.n is None and cfg.n_max is None:
-            raise DomainError("oracle needs --n or --n-max")
-        ns = [cfg.n] if cfg.n is not None else list(range(1, cfg.n_max + 1))
+        if args.n is None and (args.n_max is None or args.n_max < 1):
+            raise DomainError(f"oracle needs --n, or --n-max >= 1 (got n_max={args.n_max})")
+        ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
         for n in ns:
-            got = freewords.count_reduced(cfg.s, n, **kwargs)
-            expected = enumeration.peri_catalan(cfg.s, n)
+            got = freewords.count_reduced(args.s, n, **kwargs)
+            expected = enumeration.peri_catalan(args.s, n)
             match = got == expected
             ok = ok and match
-            lines.append(f"s={cfg.s} n={n} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
-    _emit(cfg.out, "".join(line + "\n" for line in lines))
+            lines.append(f"s={args.s} n={n} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
+    _emit(args.out, "".join(line + "\n" for line in lines))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_quotient(cfg: RunConfig) -> int:
-    if cfg.s < 1:
-        raise DomainError(f"quotient needs s >= 1, got {cfg.s}")
-    if cfg.n_max < 2:
-        raise DomainError(f"quotient needs n_max >= 2, got {cfg.n_max}")
-    table = asymptotics.log_peri_table(cfg.s, cfg.n_max)
-    if cfg.fmt == "csv":
+def cmd_quotient(args) -> int:
+    if args.s < 1:
+        raise DomainError(f"quotient needs s >= 1, got {args.s}")
+    if args.n_max < 2:
+        raise DomainError(f"quotient needs n_max >= 2, got {args.n_max}")
+    table = asymptotics.log_peri_table(args.s, args.n_max)
+    if args.fmt == "csv":
         body = asymptotics.quotient_csv(table)
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         body = json.dumps(
-            {"s": cfg.s, "rows": [
+            {"s": args.s, "rows": [
                 {"n": n, "logP": lv, "logBound": lb, "quotient": q}
                 for n, lv, lb, q in asymptotics.quotient_rows(table)
             ]}, indent=2) + "\n"
@@ -258,19 +218,19 @@ def cmd_quotient(cfg: RunConfig) -> int:
             f"n={n:<5d} logP={lv:.6g} logBound={lb:.6g} quotient={q:.6g}\n"
             for n, lv, lb, q in asymptotics.quotient_rows(table)
         )
-    _emit(cfg.out, body)
+    _emit(args.out, body)
     return EXIT_OK
 
 
-def cmd_regress(cfg: RunConfig) -> int:
-    if cfg.s < 1:
-        raise DomainError(f"regress needs s >= 1, got {cfg.s}")
-    table = asymptotics.log_peri_table(cfg.s, cfg.n_max)
-    reg = asymptotics.linear_regression(asymptotics.regression_points(table, cfg.n_min, cfg.n_max))
-    ln3s = math.log(3 * cfg.s)
-    if cfg.fmt == "json":
+def cmd_regress(args) -> int:
+    if args.s < 1:
+        raise DomainError(f"regress needs s >= 1, got {args.s}")
+    table = asymptotics.log_peri_table(args.s, args.n_max)
+    reg = asymptotics.linear_regression(asymptotics.regression_points(table, args.n_min, args.n_max))
+    ln3s = math.log(3 * args.s)
+    if args.fmt == "json":
         body = json.dumps({
-            "s": cfg.s, "n_min": cfg.n_min, "n_max": cfg.n_max,
+            "s": args.s, "n_min": args.n_min, "n_max": args.n_max,
             "slope": reg.slope, "intercept": reg.intercept,
             "residual_stderr": reg.residual_stderr,
             "ref_slope": REF_SLOPE, "ln_3s": ln3s,
@@ -278,38 +238,38 @@ def cmd_regress(cfg: RunConfig) -> int:
         }, indent=2) + "\n"
     else:
         body = (
-            f"series (n, ln P - ln C_n) for s={cfg.s}, n in [{cfg.n_min}, {cfg.n_max}]\n"
+            f"series (n, ln P - ln C_n) for s={args.s}, n in [{args.n_min}, {args.n_max}]\n"
             f"slope            = {reg.slope:.6g}\n"
             f"  vs 3.576       : {reg.slope - REF_SLOPE:+.6g}\n"
-            f"  vs ln(3s)      : {reg.slope - ln3s:+.6g}  (ln {3 * cfg.s} = {ln3s:.6g})\n"
+            f"  vs ln(3s)      : {reg.slope - ln3s:+.6g}  (ln {3 * args.s} = {ln3s:.6g})\n"
             f"intercept        = {reg.intercept:.6g}\n"
             f"  vs -1.102      : {reg.intercept - REF_INTERCEPT:+.6g}\n"
             f"  vs -ln 3       : {reg.intercept + math.log(3):+.6g}  (-ln 3 = {-math.log(3):.6g})\n"
             f"residual stderr  = {reg.residual_stderr:.6g}\n"
         )
-    _emit(cfg.out, body)
+    _emit(args.out, body)
     return EXIT_OK
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    if cfg.s_max < 2:
-        raise DomainError(f"fit needs s_max >= 2, got {cfg.s_max}")
-    if cfg.proxy_n < 2:
-        raise DomainError(f"fit needs proxy_n >= 2, got {cfg.proxy_n}")
-    series = asymptotics.defect_series(range(1, cfg.s_max + 1), cfg.proxy_n)
+def cmd_fit(args) -> int:
+    if args.s_max < 2:
+        raise DomainError(f"fit needs s_max >= 2, got {args.s_max}")
+    if args.proxy_n < 2:
+        raise DomainError(f"fit needs proxy_n >= 2, got {args.proxy_n}")
+    series = asymptotics.defect_series(range(1, args.s_max + 1), args.proxy_n)
     fit = asymptotics.rational_fit(series)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         body = asymptotics.defect_csv(series)
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         body = json.dumps({
-            "proxy_n": cfg.proxy_n,
+            "proxy_n": args.proxy_n,
             "series": [{"s": s, "defect": d} for s, d in series],
             "fit": {"a": fit.a, "b": fit.b, "residual_stderr": fit.residual_stderr},
             "ref_a": REF_FIT_A, "ref_b": REF_FIT_B, "golden_log": GOLDEN_LOG,
         }, indent=2) + "\n"
     else:
         body = (
-            f"defect(s, n={cfg.proxy_n}) fitted to a / (s - b) over s = 1..{cfg.s_max}\n"
+            f"defect(s, n={args.proxy_n}) fitted to a / (s - b) over s = 1..{args.s_max}\n"
             f"a               = {fit.a:.6g}\n"
             f"  vs 0.01929    : {fit.a - REF_FIT_A:+.6g}\n"
             f"b               = {fit.b:.6g}\n"
@@ -317,15 +277,15 @@ def cmd_fit(cfg: RunConfig) -> int:
             f"  vs ln((1+sqrt 5)/2) = {GOLDEN_LOG:.6g} : {fit.b - GOLDEN_LOG:+.6g}\n"
             f"residual stderr = {fit.residual_stderr:.6g}\n"
         )
-    _emit(cfg.out, body)
+    _emit(args.out, body)
     return EXIT_OK
 
 
-def cmd_word(cfg: RunConfig) -> int:
-    tree = freewords.parse_word(cfg.word, cfg.s)
+def cmd_word(args) -> int:
+    tree = freewords.parse_word(args.word, args.s)
     reduced = freewords.is_reduced(tree)
-    members = sorted(freewords.format_word(f) for f in freewords.nodal_class(tree)) if cfg.dump_class else None
-    if cfg.fmt == "json":
+    members = sorted(freewords.format_word(f) for f in freewords.nodal_class(tree)) if args.dump_class else None
+    if args.fmt == "json":
         payload = {"word": freewords.format_word(tree), "reduced": reduced}
         if members is not None:
             payload["nodal_class"] = members
@@ -334,7 +294,7 @@ def cmd_word(cfg: RunConfig) -> int:
         body = f"word: {freewords.format_word(tree)}\nreduced: {'true' if reduced else 'false'}\n"
         if members is not None:
             body += "".join(m + "\n" for m in members)
-    _emit(cfg.out, body)
+    _emit(args.out, body)
     return EXIT_OK
 
 
@@ -350,11 +310,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config_from_args(ns)
+    args = build_parser().parse_args(argv)
+    args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

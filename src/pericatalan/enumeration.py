@@ -78,12 +78,9 @@ def peri_catalan(s: int, n: int) -> int:
         raise DomainError(f"peri_catalan needs s >= 1 and n >= 0, got s={s} n={n}")
     if n == 0:
         return 0
-    p = [0] * n
-    if n > 1:
-        p[1] = s
-    for j in range(2, n):
-        p[j] = _closed_form_value(s, j, p)
-    return _closed_form_value(s, n, p)
+    values = [0, s]
+    _extend_values(s, values, n)
+    return values[n]
 
 
 def _aux(s: int, a: int, b: int, memo: dict) -> int:
@@ -187,18 +184,44 @@ class PeriTable:
         hi, lo = (a, b) if a >= b else (b, a)
         if hi > self.n_max:
             raise DomainError(f"aux({a}, {b}) needs P values up to {hi}, table stops at {self.n_max}")
-        key = (hi, lo)
-        got = self.m_values.get(key)
-        if got is not None:
-            return got
-        val = self.values[hi] * self.values[lo] - self.aux(hi - lo, lo)
-        self.m_values[key] = val
+        # Descend to a memoized pair or to lo = 0 (m vanishes), then
+        # unwind.  Iterative: the walk from (n, 1) takes n steps.
+        p, memo = self.values, self.m_values
+        stack = []
+        val = 0
+        while lo > 0:
+            got = memo.get((hi, lo))
+            if got is not None:
+                val = got
+                break
+            stack.append((hi, lo))
+            d = hi - lo
+            hi, lo = (d, lo) if d >= lo else (lo, d)
+        while stack:
+            hi, lo = stack.pop()
+            val = p[hi] * p[lo] - val
+            memo[(hi, lo)] = val
         return val
 
 
 def _extend_values(s: int, values: list, n_max: int) -> None:
     while len(values) <= n_max:
         values.append(_closed_form_value(s, len(values), values))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file in the same directory and
+    os.replace, so a reader sees the old file or the new one, never a
+    partial write.  The temp file is removed on any failure; OSError
+    propagates for the caller to report."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pcat-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cache_path(cache_dir: str, s: int) -> str:
@@ -241,17 +264,8 @@ def _load_cache(path: str, s: int) -> list:
 def _save_cache(path: str, s: int, values: list) -> None:
     body = [f"{CACHE_MAGIC} s={s}"]
     body.extend(f"{n} {values[n]}" for n in range(1, len(values)))
-    data = "\n".join(body) + "\n"
-    d = os.path.dirname(path) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".pcat-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_atomic(path, "\n".join(body) + "\n")
     except OSError as e:
         raise CacheError(f"cannot write cache {path}: {e}") from e
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The command line front end maps these onto process exit codes:
-domain errors exit 2, cache errors exit 3, resource-guard errors exit 4.
+domain errors exit 2, cache errors (a cache or output file could not
+be read or written) exit 3, resource-guard errors exit 4.
 """
 
 

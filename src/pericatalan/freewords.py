@@ -29,7 +29,7 @@ orbit of an n-leaf word has exactly 2^(n-1) members and contains one
 basic word, recovered by normalize_full.
 """
 
-from dataclasses import dataclass
+from itertools import product
 
 from .enumeration import word_count_bound
 from .errors import DomainError, ResourceGuardError, WordSyntaxError
@@ -92,17 +92,6 @@ for _op in ALL_OPS:
 del _op
 
 
-@dataclass(frozen=True)
-class OpAlgebra:
-    opposite: OpSymbol
-    cancel_partner: OpSymbol
-
-
-def op_algebra(op: OpSymbol) -> OpAlgebra:
-    """The sigma- and tau-translates of op."""
-    return OpAlgebra(opposite=op.opposite, cancel_partner=op.cancel)
-
-
 def leaf_count(w) -> int:
     if type(w) is int:
         return 1
@@ -125,19 +114,19 @@ def _guard_enum(s, n, max_length, budget):
         raise ResourceGuardError(f"enumeration of {cost} trees exceeds budget {budget}")
 
 
+def _products(pools, m):
+    # Every basic tree with m >= 2 leaves built from the smaller pools,
+    # in the fixed stream order: split point, then root op, then left
+    # subtree, then right.
+    for a in range(1, m):
+        yield from product(BASIC_OPS, pools[a], pools[m - a])
+
+
 def _pools(s, up_to):
-    # All basic trees of each leaf count 1..up_to, in the fixed stream
-    # order: split point, then root op, then left subtree, then right.
+    # All basic trees of each leaf count 1..up_to, in stream order.
     pools = {1: list(range(1, s + 1))}
     for m in range(2, up_to + 1):
-        bucket = []
-        for a in range(1, m):
-            left, right = pools[a], pools[m - a]
-            for op in BASIC_OPS:
-                for x in left:
-                    for y in right:
-                        bucket.append((op, x, y))
-        pools[m] = bucket
+        pools[m] = list(_products(pools, m))
     return pools
 
 
@@ -155,13 +144,7 @@ def _tree_stream(s, n):
     if n == 1:
         yield from range(1, s + 1)
         return
-    pools = _pools(s, n - 1)
-    for a in range(1, n):
-        left, right = pools[a], pools[n - a]
-        for op in BASIC_OPS:
-            for x in left:
-                for y in right:
-                    yield (op, x, y)
+    yield from _products(_pools(s, n - 1), n)
 
 
 def _basic_root_match(op, u, v):
@@ -239,17 +222,7 @@ def count_reduced(s: int, n: int, max_length: int = MAX_ENUM_LENGTH, budget: int
     _guard_enum(s, n, max_length, budget)
     if n == 1:
         return s
-    pools = _pools(s, n - 1)
-    red = is_reduced
-    total = 0
-    for a in range(1, n):
-        left, right = pools[a], pools[n - a]
-        for op in BASIC_OPS:
-            for x in left:
-                for y in right:
-                    if red((op, x, y)):
-                        total += 1
-    return total
+    return sum(map(is_reduced, _products(_pools(s, n - 1), n)))
 
 
 def count_reduced_rooted(

@@ -134,6 +134,8 @@ def test_oracle_budget_flag(capsys):
 def test_oracle_missing_n(capsys):
     rc, _, err = run(capsys, "oracle", "--s", "2")
     assert rc == 2
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--n-max", "0")
+    assert rc == 2 and out == ""
 
 
 def test_oracle_mismatch_exit_code(capsys, monkeypatch):
@@ -239,6 +241,19 @@ def test_out_file_atomic_and_deterministic(capsys, tmp_path):
     # and matches the stdout variant byte for byte
     rc, out, _ = run(capsys, "table", "--s-list", "2", "--n-max", "6", "--format", "csv")
     assert out.encode() == first
+
+
+@pytest.mark.parametrize("kind", ["missing_parent", "directory"])
+def test_out_unwritable_exits_three(capsys, tmp_path, kind):
+    target = tmp_path / "d"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target = target / "x"
+    rc, out, err = run(capsys, "compute", "--s", "2", "--n", "4", "--out", str(target))
+    assert rc == 3 and out == ""
+    assert str(target) in err
+    assert not list(tmp_path.rglob(".pcat-*"))  # no temp litter
 
 
 def test_cache_dir_env(capsys, tmp_path, monkeypatch):

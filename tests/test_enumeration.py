@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pericatalan.enumeration import (
     CACHE_MAGIC,
+    PeriTable,
     aux_bivariate,
     build_table,
     catalan,
@@ -149,6 +150,14 @@ def test_peritable_access_and_aux():
     # memo keys are canonical (max, min) pairs
     t.aux(1, 5)
     assert all(hi >= lo for hi, lo in t.m_values)
+
+
+def test_peritable_aux_deep_walk():
+    # aux(n, 1) takes n subtraction steps: past the default recursion limit.
+    memo = {}
+    values = [peri_catalan_recursive(1, n, memo) for n in range(1101)]
+    assert PeriTable(s=1, values=values).aux(1100, 1) == aux_bivariate(1, 1100, 1, memo)
+    assert PeriTable(s=1, values=values).aux(1099, 1100) == aux_bivariate(1, 1100, 1099, memo)
 
 
 @given(st.integers(1, 5), st.integers(0, 25))

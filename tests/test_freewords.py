@@ -18,22 +18,22 @@ def test_six_distinct_symbols():
 
 
 def test_opposite_pairs():
-    assert fw.op_algebra(fw.MUL).opposite is fw.OMUL
-    assert fw.op_algebra(fw.OMUL).opposite is fw.MUL
-    assert fw.op_algebra(fw.LDIV).opposite is fw.OLDIV
-    assert fw.op_algebra(fw.RDIV).opposite is fw.ORDIV
+    assert fw.MUL.opposite is fw.OMUL
+    assert fw.OMUL.opposite is fw.MUL
+    assert fw.LDIV.opposite is fw.OLDIV
+    assert fw.RDIV.opposite is fw.ORDIV
     for op in fw.ALL_OPS:
-        assert fw.op_algebra(fw.op_algebra(op).opposite).opposite is op
-        assert fw.op_algebra(op).opposite is not op
+        assert op.opposite.opposite is op
+        assert op.opposite is not op
 
 
 def test_cancel_partners():
-    assert fw.op_algebra(fw.MUL).cancel_partner is fw.LDIV
-    assert fw.op_algebra(fw.LDIV).cancel_partner is fw.MUL
-    assert fw.op_algebra(fw.RDIV).cancel_partner is fw.OLDIV
-    assert fw.op_algebra(fw.ORDIV).cancel_partner is fw.OMUL
+    assert fw.MUL.cancel is fw.LDIV
+    assert fw.LDIV.cancel is fw.MUL
+    assert fw.RDIV.cancel is fw.OLDIV
+    assert fw.ORDIV.cancel is fw.OMUL
     for op in fw.ALL_OPS:
-        assert fw.op_algebra(fw.op_algebra(op).cancel_partner).cancel_partner is op
+        assert op.cancel.cancel is op
 
 
 def test_symbol_group_axioms():
@@ -59,6 +59,26 @@ def test_enumeration_counts_and_uniqueness():
 
 def test_enumeration_is_deterministic():
     assert list(fw.enumerate_basic_trees(2, 3)) == list(fw.enumerate_basic_trees(2, 3))
+
+
+def test_enumeration_stream_order():
+    # Split point, then root op, then left subtree, then right subtree.
+    trees = list(fw.enumerate_basic_trees(2, 3))
+    assert len(trees) == 144
+    assert trees[:3] == [
+        (fw.MUL, 1, (fw.MUL, 1, 1)),
+        (fw.MUL, 1, (fw.MUL, 1, 2)),
+        (fw.MUL, 1, (fw.MUL, 2, 1)),
+    ]
+    assert trees[11] == (fw.MUL, 1, (fw.RDIV, 2, 2))
+    assert trees[12] == (fw.MUL, 2, (fw.MUL, 1, 1))
+    assert trees[24] == (fw.LDIV, 1, (fw.MUL, 1, 1))
+    assert trees[72] == (fw.MUL, (fw.MUL, 1, 1), 1)
+    assert trees[-3:] == [
+        (fw.RDIV, (fw.RDIV, 2, 1), 2),
+        (fw.RDIV, (fw.RDIV, 2, 2), 1),
+        (fw.RDIV, (fw.RDIV, 2, 2), 2),
+    ]
 
 
 def test_enumeration_guards():
