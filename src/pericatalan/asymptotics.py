@@ -12,8 +12,12 @@ with rho(a, a) = 1.  Then
 
     l_n = ln 3 + logsumexp_k [ ln rho(n-k, k) + l_{n-k} + l_k ]
 
-accumulated in ascending k with a running maximum, which makes the
-float stream reproducible.
+The terms are symmetric in (n-k, k), so each n sums the canonical half
+n-k >= k of the ratios it has just computed in one max-shifted numpy
+logsumexp, off-diagonal terms weighted 2 and the diagonal (even n) 1.
+This is deterministic for a fixed numpy build, but not bit-identical to
+earlier commits, which summed all n-1 terms in ascending k.  Tables
+past n = LOG_CEILING are refused: the (n+1)^2 grid outgrows memory.
 
 Also here: the normalized growth quotient l_n / ln(bound), its
 complement the cancelation defect, ordinary least squares, and the
@@ -25,9 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, ResourceGuardError, StabilityError
 
 _LOG3 = math.log(3.0)
+
+LOG_CEILING = 10_000  # largest n_max of a log table: a 0.8 GB ratio grid
 
 
 def _log_catalan_array(n_max: int) -> np.ndarray:
@@ -40,22 +46,6 @@ def _log_catalan_array(n_max: int) -> np.ndarray:
         lc[m] = math.log(c)
         c = c * (2 * (2 * m - 1)) // (m + 1)
     return lc
-
-
-def _running_lse(terms) -> float:
-    best = -math.inf
-    acc = 0.0
-    for t in terms:
-        if t == -math.inf:
-            continue
-        if t <= best:
-            acc += math.exp(t - best)
-        else:
-            acc = acc * math.exp(best - t) + 1.0
-            best = t
-    if acc == 0.0:
-        return -math.inf
-    return best + math.log(acc)
 
 
 @dataclass(frozen=True)
@@ -113,6 +103,11 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         raise DomainError(f"log_peri_table needs s >= 1, got {s}")
     if n_max < 2:
         raise DomainError(f"log_peri_table needs n_max >= 2, got {n_max}")
+    if n_max > LOG_CEILING:
+        raise ResourceGuardError(
+            f"log table past n={LOG_CEILING} refused (requested n={n_max}: "
+            f"a {(n_max + 1) ** 2 * 8 / 1e9:.1f} GB ratio grid)"
+        )
     lc = _log_catalan_array(n_max)
     lp = np.empty(n_max + 1)
     lp[0] = -math.inf
@@ -134,10 +129,12 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
             )
         np.minimum(vals, 1.0, out=vals)
         grid[hi, lo] = vals
-        k = np.arange(1, n)
-        a = n - k
-        terms = np.log(grid[np.maximum(a, k), np.minimum(a, k)]) + lp[a] + lp[k]
-        lp[n] = _LOG3 + _running_lse(terms.tolist())
+        terms = np.log(vals) + lp[hi] + lp[lo]
+        top = terms.max()
+        w = np.exp(terms - top)
+        if n % 2 == 0:
+            w[0] *= 0.5  # the diagonal hi == lo appears once, not twice
+        lp[n] = _LOG3 + top + math.log(2.0 * w.sum())
     lp.setflags(write=False)
     lc.setflags(write=False)
     grid.setflags(write=False)

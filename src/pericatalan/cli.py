@@ -254,8 +254,8 @@ def cmd_regress(args) -> int:
 def cmd_fit(args) -> int:
     if args.s_max < 2:
         raise DomainError(f"fit needs s_max >= 2, got {args.s_max}")
-    if args.proxy_n < 2:
-        raise DomainError(f"fit needs proxy_n >= 2, got {args.proxy_n}")
+    if args.proxy_n < 3:
+        raise DomainError(f"fit needs --proxy-n >= 3 (every defect at n = 2 is 0), got {args.proxy_n}")
     series = asymptotics.defect_series(range(1, args.s_max + 1), args.proxy_n)
     fit = asymptotics.rational_fit(series)
     if args.fmt == "csv":

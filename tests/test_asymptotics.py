@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pericatalan import asymptotics
 from pericatalan.asymptotics import (
     LogTable,
     cancelation_defect,
@@ -20,8 +21,8 @@ from pericatalan.asymptotics import (
     rational_fit,
     regression_points,
 )
-from pericatalan.enumeration import build_table, word_count_bound
-from pericatalan.errors import DomainError
+from pericatalan.enumeration import aux_bivariate, build_table, word_count_bound
+from pericatalan.errors import DomainError, ResourceGuardError
 
 
 def test_base_cases():
@@ -78,6 +79,29 @@ def test_rho_properties():
         rho.value(12, 1)
     with pytest.raises(DomainError):
         rho.value(1, 0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 7])
+def test_rho_grid_matches_exact(s):
+    t, rho = log_peri_table(s, 60, with_rho=True)
+    exact = build_table(s, 60)
+    memo = {}
+    entries = list(rho.items())
+    assert len(entries) == sum(d // 2 for d in range(2, 61))
+    for (a, b), got in entries:
+        want = aux_bivariate(s, a, b, memo) / (exact[a] * exact[b])
+        assert abs(got - want) <= 1e-13 * want, (a, b, got, want)
+    # the half-sum logsumexp over those ratios, against the exact log
+    for n in range(2, 61):
+        want = math.log(exact[n])
+        assert abs(t.log_value(n) - want) <= 1e-14 * want, (n, t.log_value(n), want)
+
+
+def test_log_ceiling_guard(monkeypatch):
+    monkeypatch.setattr(asymptotics, "LOG_CEILING", 50)
+    with pytest.raises(ResourceGuardError, match="n=51"):
+        log_peri_table(1, 51)
+    assert log_peri_table(1, 50).n_max == 50
 
 
 def test_quotient_examples():

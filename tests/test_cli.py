@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pericatalan import cli, freewords
+from pericatalan import asymptotics, cli, freewords
 from pericatalan.enumeration import build_table
 
 
@@ -192,6 +192,18 @@ def test_fit_text(capsys):
     rc, out, _ = run(capsys, "fit", "--s-max", "4", "--proxy-n", "60")
     assert rc == 0
     assert "a " in out and "b " in out
+
+
+def test_fit_proxy_n_two_names_flag(capsys):
+    # every defect at n = 2 is 0, so the rational fit has nothing to fit
+    rc, _, err = run(capsys, "fit", "--s-max", "4", "--proxy-n", "2")
+    assert rc == 2 and "proxy" in err
+
+
+def test_log_ceiling_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(asymptotics, "LOG_CEILING", 50)
+    rc, out, err = run(capsys, "quotient", "--s", "1", "--n-max", "51")
+    assert rc == 4 and out == "" and "refused" in err
 
 
 def test_word_reduced_query(capsys):
