@@ -15,9 +15,17 @@ with rho(a, a) = 1.  Then
 The terms are symmetric in (n-k, k), so each n sums the canonical half
 n-k >= k of the ratios it has just computed in one max-shifted numpy
 logsumexp, off-diagonal terms weighted 2 and the diagonal (even n) 1.
-This is deterministic for a fixed numpy build, but not bit-identical to
-earlier commits, which summed all n-1 terms in ascending k.  Tables
-past n = LOG_CEILING are refused: the (n+1)^2 grid outgrows memory.
+This is deterministic for a fixed numpy build.
+
+rho is stored on canonical pairs only, packed by pair sum into one flat
+array of n_max^2 // 4 doubles: row d holds rho(a, d - a) for
+a = ceil(d/2) .. d-1 and starts at (d-1)^2 // 4.  Row n is written as
+one contiguous slice, and every l operand of its step is a slice of l:
+l_hi is l[h0:n], l_lo its reverse and l_d (d = 2 hi - n) a stride-2
+slice.  The one gather reads rho(max(d, lo), min(d, lo)).  The even-n
+diagonal (d = 0) multiplies that read by exp(l_0 - l_hi) = 0, so it only
+needs a finite value there, not a boundary row.  Tables past
+n = LOG_CEILING are refused: the store would outgrow memory.
 
 Also here: the normalized growth quotient l_n / ln(bound), its
 complement the cancelation defect, ordinary least squares, and the
@@ -33,7 +41,7 @@ from .errors import DomainError, ResourceGuardError, StabilityError
 
 _LOG3 = math.log(3.0)
 
-LOG_CEILING = 10_000  # largest n_max of a log table: a 0.8 GB ratio grid
+LOG_CEILING = 10_000  # largest n_max of a log table: a 0.2 GB ratio store (n^2/4 doubles)
 
 
 def _log_catalan_array(n_max: int) -> np.ndarray:
@@ -80,7 +88,8 @@ class LogTable:
 @dataclass(frozen=True)
 class RhoMemo:
     """Cancelation ratios rho(a, b) on canonical pairs a >= b >= 1 with
-    a + b <= n_max."""
+    a + b <= n_max, packed by pair sum: row d holds rho(a, d - a) for
+    a = ceil(d/2) .. d-1 and starts at grid[(d-1)^2 // 4]."""
 
     n_max: int
     grid: np.ndarray
@@ -89,12 +98,14 @@ class RhoMemo:
         hi, lo = (a, b) if a >= b else (b, a)
         if lo < 1 or hi + lo > self.n_max:
             raise DomainError(f"rho({a}, {b}) outside computed range (pair sum <= {self.n_max})")
-        return float(self.grid[hi, lo])
+        d = hi + lo
+        return float(self.grid[(d - 1) ** 2 // 4 + hi - (d + 1) // 2])
 
     def items(self):
         for d in range(2, self.n_max + 1):
-            for hi in range((d + 1) // 2, d):
-                yield (hi, d - hi), float(self.grid[hi, d - hi])
+            start = (d - 1) ** 2 // 4
+            for hi, v in enumerate(self.grid[start:start + d // 2].tolist(), start=(d + 1) // 2):
+                yield (hi, d - hi), v
 
 
 def log_peri_table(s: int, n_max: int, with_rho: bool = False):
@@ -106,32 +117,39 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
     if n_max > LOG_CEILING:
         raise ResourceGuardError(
             f"log table past n={LOG_CEILING} refused (requested n={n_max}: "
-            f"a {(n_max + 1) ** 2 * 8 / 1e9:.1f} GB ratio grid)"
+            f"a {n_max * n_max // 4 * 8 / 1e9:.1f} GB ratio store)"
         )
     lc = _log_catalan_array(n_max)
     lp = np.empty(n_max + 1)
     lp[0] = -math.inf
     lp[1] = math.log(s)
-    grid = np.full((n_max + 1, n_max + 1), np.nan)
-    grid[0, :] = 1.0
-    grid[:, 0] = 1.0
+    grid = np.empty(n_max * n_max // 4)
+    grid[0] = 1.0  # rho(1, 1): n = 2 reads it as its diagonal's rho(1, 0)
+    idx = np.arange(n_max + 1)
+    base = (idx - 1) ** 2 // 4 - (idx + 1) // 2  # rho(a, d - a) is grid[base[d] + a]
     for n in range(2, n_max + 1):
-        hi = np.arange((n + 1) // 2, n)
-        lo = n - hi
-        d = hi - lo
-        prev = grid[np.maximum(d, lo), np.minimum(d, lo)]
-        vals = 1.0 - prev * np.exp(lp[d] - lp[hi])
-        bad = ~(vals > 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        # hi = h0 .. n-1 ascending, lo = n - hi descending, d = hi - lo = 2 hi - n
+        h0 = (n + 1) // 2
+        m = n - h0
+        lo = idx[m:0:-1]
+        lp_hi = lp[h0:n]
+        at = np.maximum(idx[n % 2:n - 1:2], lo)
+        at += base[h0:n]
+        t = np.exp(lp[n % 2:n - 1:2] - lp_hi)
+        t *= grid[at]  # rho(max(d, lo), min(d, lo))
+        row = (n - 1) ** 2 // 4
+        vals = np.subtract(1.0, t, out=grid[row:row + m])  # at most 1: t >= 0
+        if not vals.min() > 0.0:
+            i = int(np.argmax(~(vals > 0.0)))
             raise StabilityError(
                 f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={vals[i]!r}"
             )
-        np.minimum(vals, 1.0, out=vals)
-        grid[hi, lo] = vals
-        terms = np.log(vals) + lp[hi] + lp[lo]
+        terms = np.log(vals)
+        terms += lp_hi
+        terms += lp[m:0:-1]
         top = terms.max()
-        w = np.exp(terms - top)
+        terms -= top
+        w = np.exp(terms, out=terms)
         if n % 2 == 0:
             w[0] *= 0.5  # the diagonal hi == lo appears once, not twice
         lp[n] = _LOG3 + top + math.log(2.0 * w.sum())
@@ -187,15 +205,16 @@ def first_quotient_violation(table: LogTable, n_start: int = 3, slack: float = 1
     n < 3, so the quotient is exactly 1 at n = 2 and the step to n = 3
     always decreases; monotone growth is only expected from 3 on.
     """
+    if n_start < 2:
+        raise DomainError(f"first_quotient_violation needs n_start >= 2, got {n_start}")
     if table.n_max < n_start + 1:
         return None
-    prev = quotient(table.s, n_start, table)
-    for n in range(n_start + 1, table.n_max + 1):
-        cur = quotient(table.s, n, table)
-        if cur < prev - slack:
-            return n
-        prev = cur
-    return None
+    # quotient(n) for n = n_start .. n_max, elementwise as in quotient()
+    n = np.arange(n_start, table.n_max + 1)
+    bound = table.catalan_values[n_start:] + n * math.log(3 * table.s) - _LOG3
+    q = np.minimum(1.0, table.values[n_start:] / bound)
+    hits = np.flatnonzero(q[1:] < q[:-1] - slack)
+    return int(n[hits[0] + 1]) if hits.size else None
 
 
 @dataclass(frozen=True)

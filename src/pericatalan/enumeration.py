@@ -17,7 +17,8 @@ between them is a real consistency check, exercised in the test suite.
 
 All arithmetic is exact (Python integers).  build_table adds an opt-in
 plain-text cache, one file per s, so repeated runs extend rather than
-recompute.
+recompute.  Its header carries a sha256 digest of the body, so a changed
+digit is refused, not served.
 """
 
 import os
@@ -28,7 +29,18 @@ from math import comb
 from .errors import CacheError, CacheIntegrityError, DomainError
 from .euclid import euclid_trace
 
-CACHE_MAGIC = "pcat-cache v1"
+# CPython's own sha256 where it has one: hashlib loads OpenSSL at import,
+# which adds about 3.6 MB to the resident size of every process.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
+CACHE_MAGIC = "pcat-cache v2"
+_CACHE_V1 = "pcat-cache v1"  # no digest: such a file is recomputed, never read
 
 
 def catalan(n: int) -> int:
@@ -228,18 +240,30 @@ def _cache_path(cache_dir: str, s: int) -> str:
     return os.path.join(cache_dir, f"pcat-s{s}.txt")
 
 
-def _load_cache(path: str, s: int) -> list:
+def _load_cache(path: str, s: int) -> list | None:
+    # The values of a valid v2 file; None when there is no file or only
+    # an untrusted v1 one.
     try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
     except FileNotFoundError:
-        return [0, s]
+        return None
     except OSError as e:
         raise CacheError(f"cannot read cache {path}: {e}") from e
-    if not lines or lines[0] != f"{CACHE_MAGIC} s={s}":
+    if header == f"{_CACHE_V1} s={s}".encode():
+        return None
+    prefix = f"{CACHE_MAGIC} s={s} sha256=".encode()
+    if not header.startswith(prefix):
         raise CacheIntegrityError(f"bad cache header in {path}")
+    if header[len(prefix):] != sha256(body).hexdigest().encode():
+        raise CacheIntegrityError(f"{path}: body does not match the sha256 digest in its header")
+    try:
+        lines = body.decode("ascii").splitlines()
+    except UnicodeDecodeError as e:
+        raise CacheIntegrityError(f"{path}: non-ASCII body") from e
     values = [0]
-    for lineno, line in enumerate(lines[1:], start=2):
+    bound = s  # word_count_bound(s, n), carried from n to n + 1
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split()
         if len(parts) != 2:
             raise CacheIntegrityError(f"{path}:{lineno}: expected '<n> <value>'")
@@ -249,9 +273,10 @@ def _load_cache(path: str, s: int) -> list:
             raise CacheIntegrityError(f"{path}:{lineno}: non-integer field") from e
         if n != len(values):
             raise CacheIntegrityError(f"{path}:{lineno}: expected n={len(values)}, got {n}")
-        if v < 0 or v > word_count_bound(s, n):
+        if v < 0 or v > bound:
             raise CacheIntegrityError(f"{path}:{lineno}: value out of range for s={s} n={n}")
         values.append(v)
+        bound = bound * 3 * s * 2 * (2 * n - 1) // (n + 1)
     if len(values) < 2:
         raise CacheIntegrityError(f"{path}: no entries")
     if values[1] != s:
@@ -262,16 +287,19 @@ def _load_cache(path: str, s: int) -> list:
 
 
 def _save_cache(path: str, s: int, values: list) -> None:
-    body = [f"{CACHE_MAGIC} s={s}"]
-    body.extend(f"{n} {values[n]}" for n in range(1, len(values)))
+    body = "".join(f"{n} {values[n]}\n" for n in range(1, len(values)))
+    digest = sha256(body.encode("ascii")).hexdigest()
     try:
-        write_atomic(path, "\n".join(body) + "\n")
+        write_atomic(path, f"{CACHE_MAGIC} s={s} sha256={digest}\n{body}")
     except OSError as e:
         raise CacheError(f"cannot write cache {path}: {e}") from e
 
 
 def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
-    """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max."""
+    """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max.
+
+    A v1 cache file (no digest) is not trusted: the column is recomputed
+    to n_max and the file rewritten as v2."""
     if s < 1 or n_max < 1:
         raise DomainError(f"build_table needs s >= 1 and n_max >= 1, got s={s} n_max={n_max}")
     if cache_dir is None:
@@ -280,7 +308,9 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
         return PeriTable(s=s, values=values)
     path = _cache_path(cache_dir, s)
     values = _load_cache(path, s)
-    if len(values) - 1 >= n_max:
+    if values is None:
+        values = [0, s]
+    elif len(values) - 1 >= n_max:
         return PeriTable(s=s, values=values[: n_max + 1])
     _extend_values(s, values, n_max)
     _save_cache(path, s, values)

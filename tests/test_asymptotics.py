@@ -22,7 +22,7 @@ from pericatalan.asymptotics import (
     regression_points,
 )
 from pericatalan.enumeration import aux_bivariate, build_table, word_count_bound
-from pericatalan.errors import DomainError, ResourceGuardError
+from pericatalan.errors import DomainError, ResourceGuardError, StabilityError
 
 
 def test_base_cases():
@@ -97,6 +97,28 @@ def test_rho_grid_matches_exact(s):
         assert abs(t.log_value(n) - want) <= 1e-14 * want, (n, t.log_value(n), want)
 
 
+@pytest.mark.parametrize("n_max", [12, 13, 60])
+def test_rho_store_is_packed(n_max):
+    _, rho = log_peri_table(3, n_max, with_rho=True)
+    assert rho.grid.dtype == np.float64
+    assert rho.grid.shape == (n_max**2 // 4,)
+    assert len(list(rho.items())) == rho.grid.size
+
+
+def test_rho_diagonal_is_one():
+    # the even-n diagonal reads rho(n/2, 0) through a zero factor
+    _, rho = log_peri_table(2, 60, with_rho=True)
+    for h in range(1, 31):
+        assert rho.value(h, h) == 1.0, h
+
+
+def test_stability_error_names_n_and_k(monkeypatch):
+    # a wrong ln 3 makes l_2 too small, so rho(2, 1) = 1 - exp(l_1 - l_2) < 0
+    monkeypatch.setattr(asymptotics, "_LOG3", -5.0)
+    with pytest.raises(StabilityError, match="n=3, k=1"):
+        log_peri_table(1, 20)
+
+
 def test_log_ceiling_guard(monkeypatch):
     monkeypatch.setattr(asymptotics, "LOG_CEILING", 50)
     with pytest.raises(ResourceGuardError, match="n=51"):
@@ -141,6 +163,39 @@ def test_violation_detection_on_crafted_table():
     values[17] = values[16]  # flat spot forces a dip in the quotient
     crafted = LogTable(s=2, values=values, catalan_values=real.catalan_values)
     assert first_quotient_violation(crafted) == 17
+
+
+def _scalar_violation(table, n_start, slack):
+    prev = quotient(table.s, n_start, table)
+    for n in range(n_start + 1, table.n_max + 1):
+        cur = quotient(table.s, n, table)
+        if cur < prev - slack:
+            return n
+        prev = cur
+    return None
+
+
+@pytest.mark.parametrize("s", [1, 2, 12, 100])
+def test_violation_scan_matches_scalar_loop(s):
+    real = log_peri_table(s, 300)
+    values = np.array(real.values)
+    values[200] = values[199]  # flat spot forces a dip in the quotient
+    crafted = LogTable(s=s, values=values, catalan_values=real.catalan_values)
+    for table in (real, crafted):
+        for n_start in (2, 3, 10, 150):
+            for slack in (1e-12, 0.0, -1e-3, -1.0):
+                got = first_quotient_violation(table, n_start, slack)
+                assert got == _scalar_violation(table, n_start, slack), (n_start, slack)
+    assert first_quotient_violation(real, 10, -1.0) == 11  # negative slack forces a hit
+    assert first_quotient_violation(crafted, 150, 0.0) == 200
+
+
+def test_violation_scan_domain_and_short_tables():
+    t = log_peri_table(2, 6)
+    with pytest.raises(DomainError):
+        first_quotient_violation(t, n_start=1)
+    assert first_quotient_violation(t, n_start=6) is None
+    assert first_quotient_violation(t, n_start=5, slack=-1.0) == 6
 
 
 def test_regression_exact_line():

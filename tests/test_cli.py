@@ -298,6 +298,15 @@ def test_corrupt_cache_exit_code(capsys, tmp_path):
     assert rc == 3 and "cache" in err
 
 
+def test_cache_one_wrong_digit_exits_three(capsys, tmp_path):
+    rc, out, _ = run(capsys, "compute", "--s", "2", "--n", "10", "--cache-dir", str(tmp_path))
+    assert rc == 0 and out == "61689134928\n"
+    cache = tmp_path / "pcat-s2.txt"
+    cache.write_text(cache.read_text().replace("10 61689134928\n", "10 61689134927\n"))
+    rc, out, err = run(capsys, "compute", "--s", "2", "--n", "10", "--cache-dir", str(tmp_path))
+    assert rc == 3 and out == "" and "cache" in err
+
+
 def test_bad_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--s-list", "1", "--n-max", "3", "--format", "yaml"])

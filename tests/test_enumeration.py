@@ -1,3 +1,4 @@
+import hashlib
 import os
 from math import comb
 
@@ -179,19 +180,65 @@ def _cache_file(tmp_path, s):
     return tmp_path / f"pcat-s{s}.txt"
 
 
+def _write_signed(path, s, lines):
+    # a cache file with the given entry lines under a correct v2 header
+    body = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    path.write_text(f"{CACHE_MAGIC} s={s} sha256={digest}\n{body}")
+
+
 def test_cache_roundtrip(tmp_path):
     d = str(tmp_path)
     t1 = build_table(2, 8, d)
     path = _cache_file(tmp_path, 2)
     assert path.exists()
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"{CACHE_MAGIC} s=2"
+    text = path.read_text()
+    lines = text.splitlines()
+    body = text.split("\n", 1)[1]
+    assert lines[0] == f"pcat-cache v2 s=2 sha256={hashlib.sha256(body.encode()).hexdigest()}"
+    assert lines[0].startswith(CACHE_MAGIC)
     assert lines[1] == "1 2"
     assert len(lines) == 9
     before = path.read_text()
     t2 = build_table(2, 8, d)
     assert t2.values == t1.values
     assert path.read_text() == before
+
+
+def test_cache_one_wrong_digit_refused(tmp_path):
+    build_table(2, 10, str(tmp_path))
+    path = _cache_file(tmp_path, 2)
+    lines = path.read_text().splitlines()
+    assert lines[10] == "10 61689134928"
+    lines[10] = "10 61689134927"  # passes every per-line check
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheIntegrityError, match="sha256"):
+        build_table(2, 10, str(tmp_path))
+
+
+def test_cache_v1_is_recomputed_as_v2(tmp_path):
+    path = _cache_file(tmp_path, 2)
+    path.write_text("pcat-cache v1 s=2\n1 2\n2 12\n3 121\n4 1752\n")  # P(2, 3) is 120
+    t = build_table(2, 3, str(tmp_path))
+    assert t.values == [0, 2, 12, 120]
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("pcat-cache v2 s=2 sha256=")
+    assert lines[1:] == ["1 2", "2 12", "3 120"]
+    assert build_table(2, 3, str(tmp_path)).values == [0, 2, 12, 120]
+
+
+def test_cache_bound_check_is_exact(tmp_path):
+    # A file holding word_count_bound at every n passes every per-line
+    # check (below n = 3 the bound is P itself), so the running bound
+    # must equal word_count_bound at each n up to 250.
+    path = _cache_file(tmp_path, 2)
+    lines = [f"{n} {word_count_bound(2, n)}" for n in range(1, 251)]
+    _write_signed(path, 2, lines)
+    assert build_table(2, 250, str(tmp_path)).values[250] == word_count_bound(2, 250)
+    lines[-1] = f"250 {word_count_bound(2, 250) + 1}"
+    _write_signed(path, 2, lines)
+    with pytest.raises(CacheIntegrityError, match="out of range"):
+        build_table(2, 250, str(tmp_path))
 
 
 def test_cache_extends_and_truncates(tmp_path):
@@ -233,8 +280,8 @@ def test_cache_gap_detected(tmp_path):
     path = _cache_file(tmp_path, 2)
     lines = path.read_text().splitlines()
     del lines[3]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheIntegrityError):
+    _write_signed(path, 2, lines[1:])
+    with pytest.raises(CacheIntegrityError, match="expected n="):
         build_table(2, 6, str(tmp_path))
 
 
@@ -242,9 +289,9 @@ def test_cache_corrupt_value_detected(tmp_path):
     build_table(2, 6, str(tmp_path))
     path = _cache_file(tmp_path, 2)
     lines = path.read_text().splitlines()
-    lines[2] = "2 13"  # violates the forced value 3*s^2
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheIntegrityError):
+    lines[2] = "2 11"  # under the bound, but not the forced value 3*s^2
+    _write_signed(path, 2, lines[1:])
+    with pytest.raises(CacheIntegrityError, match=r"P\(s,2\)"):
         build_table(2, 6, str(tmp_path))
 
 
@@ -253,8 +300,8 @@ def test_cache_value_above_bound_detected(tmp_path):
     path = _cache_file(tmp_path, 2)
     lines = path.read_text().splitlines()
     lines[4] = f"4 {word_count_bound(2, 4) + 1}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheIntegrityError):
+    _write_signed(path, 2, lines[1:])
+    with pytest.raises(CacheIntegrityError, match="out of range"):
         build_table(2, 6, str(tmp_path))
 
 
