@@ -27,6 +27,7 @@ from pericatalan.asymptotics import (
     rational_fit,
     regression_points,
 )
+from pericatalan.enumeration import write_atomic
 
 
 def main():
@@ -46,8 +47,7 @@ def main():
 
     def save(name, text):
         path = os.path.join(args.out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_atomic(path, text)
         print(f"wrote {path}", file=sys.stderr)
 
     tables = {}

@@ -23,6 +23,14 @@ checks these patterns directly (basic trees only); is_reduced_triality
 derives the same answer from the cancel-partner relation plus nodal
 swaps, and also accepts full trees.
 
+The brute-force oracle (count_reduced, count_reduced_rooted) builds its
+subtree pools from reduced trees only.  Every subterm of a reduced word
+is reduced, so these pools lose no reduced word, and a candidate built
+from them is reduced iff its root matches no pattern.  Every top-level
+candidate is still built and tested, so the oracle counts without any
+formula and stays an independent check on the closed form and the
+recursion.
+
 Nodal equivalence: swapping the children of any node while replacing
 its operation with the opposite leaves the denoted element fixed.  The
 orbit of an n-leaf word has exactly 2^(n-1) members and contains one
@@ -37,6 +45,10 @@ from .errors import DomainError, ResourceGuardError, WordSyntaxError
 MAX_ENUM_LENGTH = 8
 ENUM_BUDGET = 10**8
 MAX_CLASS_LENGTH = 16
+# parse_word refuses deeper '(' nesting, which keeps it and the recursive
+# walks (is_reduced, format_word, leaf_count) far from Python's recursion
+# limit on any parsed word.
+MAX_WORD_DEPTH = 200
 
 _IDENTITY = (0, 1, 2)
 _SIGMA = (1, 0, 2)
@@ -122,11 +134,14 @@ def _products(pools, m):
         yield from product(BASIC_OPS, pools[a], pools[m - a])
 
 
-def _pools(s, up_to):
-    # All basic trees of each leaf count 1..up_to, in stream order.
+def _pools(s, up_to, reduced=False):
+    # All basic trees of each leaf count 1..up_to, in stream order; with
+    # reduced=True only the reduced ones, each kept on its root test
+    # alone because its subtrees come from reduced pools.
     pools = {1: list(range(1, s + 1))}
     for m in range(2, up_to + 1):
-        pools[m] = list(_products(pools, m))
+        trees = _products(pools, m)
+        pools[m] = [t for t in trees if not _basic_root_match(*t)] if reduced else list(trees)
     return pools
 
 
@@ -217,20 +232,29 @@ def is_reduced_triality(w) -> bool:
 
 
 def count_reduced(s: int, n: int, max_length: int = MAX_ENUM_LENGTH, budget: int = ENUM_BUDGET) -> int:
-    """Brute-force reduced-word count: enumerate every basic tree and
-    test each one.  Independent of the counting formulas."""
+    """Brute-force reduced-word count, independent of the counting
+    formulas.
+
+    Every candidate (op, u, v) with u and v drawn from the pools of
+    reduced subtrees is built and its root tested against the six
+    patterns; the subtrees need no test, being reduced already.  The
+    guards still price the full 3^(n-1) s^n C_n basic trees."""
     _guard_enum(s, n, max_length, budget)
     if n == 1:
         return s
-    return sum(map(is_reduced, _products(_pools(s, n - 1), n)))
+    return sum(1 for t in _products(_pools(s, n - 1, reduced=True), n) if not _basic_root_match(*t))
 
 
 def count_reduced_rooted(
     s: int, a: int, b: int, root: OpSymbol, max_length: int = MAX_ENUM_LENGTH, budget: int = ENUM_BUDGET
 ) -> int:
     """Reduced trees joining an a-leaf and a b-leaf basic subtree under
-    a fixed root operation, any of the six.  An opposite root is tested
-    through its basic nodal representative."""
+    a fixed root operation, any of the six.
+
+    Each pair from the reduced a- and b-leaf pools is joined and only
+    the root tested; an opposite root is tested through its basic nodal
+    representative (op.opposite, y, x).  The pair budget prices the
+    full basic pools."""
     if not isinstance(root, OpSymbol):
         raise DomainError(f"root must be an OpSymbol, got {root!r}")
     if s < 1 or a < 1 or b < 1:
@@ -240,16 +264,11 @@ def count_reduced_rooted(
     pairs = word_count_bound(s, a) * word_count_bound(s, b)
     if pairs > budget:
         raise ResourceGuardError(f"{pairs} candidate pairs exceed budget {budget}")
-    pools = _pools(s, max(a, b))
-    basic = root.is_basic
-    op = root if basic else root.opposite
-    total = 0
-    for x in pools[a]:
-        for y in pools[b]:
-            t = (op, x, y) if basic else (op, y, x)
-            if is_reduced(t):
-                total += 1
-    return total
+    pools = _pools(s, max(a, b), reduced=True)
+    if root.is_basic:
+        return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(root, x, y))
+    op = root.opposite
+    return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(op, y, x))
 
 
 def _orbit(w):
@@ -308,7 +327,8 @@ def parse_word(text: str, s: int | None = None):
 
     Grammar: word := generator | '(' word OP word ')' with OP one of
     * / \\; generators are letters a..z or a<index>.  If s is given,
-    generator indices above s are rejected.
+    generator indices above s are rejected.  Nesting deeper than
+    MAX_WORD_DEPTH raises ResourceGuardError.
     """
     pos = 0
     size = len(text)
@@ -321,22 +341,26 @@ def parse_word(text: str, s: int | None = None):
     def fail(msg, at):
         raise WordSyntaxError(f"{msg} at position {at + 1}")
 
-    def word():
+    def word(depth):
         nonlocal pos
         skip()
         if pos >= size:
             fail("unexpected end of input", pos)
         c = text[pos]
         if c == "(":
+            if depth == MAX_WORD_DEPTH:
+                raise ResourceGuardError(
+                    f"word nesting depth {depth + 1} at position {pos + 1} exceeds limit {MAX_WORD_DEPTH}"
+                )
             start = pos
             pos += 1
-            left = word()
+            left = word(depth + 1)
             skip()
             if pos >= size or text[pos] not in _PARSE_OPS:
                 fail("expected operator * / \\", pos)
             op = _PARSE_OPS[text[pos]]
             pos += 1
-            right = word()
+            right = word(depth + 1)
             skip()
             if pos >= size or text[pos] != ")":
                 fail(f"missing ')' for '(' opened at position {start + 1}", pos)
@@ -359,7 +383,7 @@ def parse_word(text: str, s: int | None = None):
             return idx
         fail(f"unexpected character {c!r}", pos)
 
-    w = word()
+    w = word(0)
     skip()
     if pos != size:
         fail(f"trailing input {text[pos:]!r}", pos)

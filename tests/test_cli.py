@@ -236,6 +236,12 @@ def test_word_syntax_error(capsys):
     assert rc == 2 and "position" in err
 
 
+def test_word_too_deep_exits_four(capsys):
+    rc, out, err = run(capsys, "word", "--word", "(" * 1000 + "a" + "*a)" * 1000)
+    assert rc == 4 and out == "" and err.startswith("refused:") and "limit 200" in err
+    assert "Traceback" not in err
+
+
 def test_word_generator_bound(capsys):
     rc, _, err = run(capsys, "word", "--word", "(a*d)", "--s", "3")
     assert rc == 2

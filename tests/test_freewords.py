@@ -95,8 +95,8 @@ def test_enumeration_guards():
     with pytest.raises(ResourceGuardError):
         gen = fw.enumerate_basic_trees(3, 7)
     assert gen is None
-    # overrides lift the refusal
-    assert len(list(fw.enumerate_basic_trees(1, 9, max_length=9))) == word_count_bound(1, 9)
+    # overrides lift the refusal; counted as a stream, never held as a list
+    assert sum(1 for _ in fw.enumerate_basic_trees(1, 9, max_length=9)) == word_count_bound(1, 9)
 
 
 def test_six_minimal_patterns_not_reduced():
@@ -141,6 +141,32 @@ def test_count_reduced_golden():
     assert fw.count_reduced(1, 3) == 12
     assert fw.count_reduced(1, 4) == 87
     assert fw.count_reduced(2, 4) == 1752
+
+
+@pytest.mark.parametrize("s,n", [(3, 6), (2, 7)])
+def test_count_reduced_deep(s, n):
+    assert fw.count_reduced(s, n) == peri_catalan(s, n)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_reduced_pools_are_the_full_walk_filter(s):
+    full = fw._pools(s, 5)
+    reduced = fw._pools(s, 5, reduced=True)
+    for m in range(1, 6):
+        assert reduced[m] == [t for t in full[m] if fw.is_reduced(t)]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_count_reduced_rooted_matches_full_walk(s):
+    full = fw._pools(s, 4)
+    for a in range(1, 5):
+        for b in range(1, 6 - a):
+            for root in fw.ALL_OPS:
+                if root.is_basic:
+                    want = sum(fw.is_reduced((root, x, y)) for x in full[a] for y in full[b])
+                else:
+                    want = sum(fw.is_reduced((root.opposite, y, x)) for x in full[a] for y in full[b])
+                assert fw.count_reduced_rooted(s, a, b, root) == want, (a, b, root)
 
 
 def test_totality_reduced_plus_unreduced():
@@ -225,6 +251,20 @@ def test_parse_examples():
     assert fw.format_word(fw.parse_word("((a*b)/c)")) == "((a*b)/c)"
     assert fw.parse_word("a30") == 30
     assert fw.parse_word(" ( a * b ) ") == (fw.MUL, A, B)
+
+
+def test_parse_depth_guard():
+    deep = "(" * 1000 + "a" + "*a)" * 1000
+    with pytest.raises(ResourceGuardError, match="depth 201 .* limit 200"):
+        fw.parse_word(deep)
+
+
+def test_parse_at_depth_limit():
+    text = "(" * fw.MAX_WORD_DEPTH + "a" + "*a)" * fw.MAX_WORD_DEPTH
+    w = fw.parse_word(text)
+    assert fw.leaf_count(w) == fw.MAX_WORD_DEPTH + 1
+    assert fw.is_reduced(w)
+    assert fw.format_word(w) == text
 
 
 def test_parse_generator_bound():
