@@ -1,33 +1,23 @@
 #!/usr/bin/env python3
-"""Reproduce the growth diagnostics end to end.
+"""Reproduce the growth diagnostics end to end through pcat.
 
 Writes, under --out-dir:
-  quotient-s{s}.csv   normalized-quotient series for s in --s-list
-  regression.txt      slope/intercept of ln(P/C) against n for s = 12
-  defects.csv         cancelation defect at the proxy depth, s = 1..--s-max
-  fit.txt             rational fit a / (s - b) of the defect series
+  quotient-s{s}.csv   pcat quotient for each s in --s-list
+  regression.txt      pcat regress for s = 12 (else the last s listed)
+  fit.json            pcat fit --format json: the defect series at the
+                      proxy depth, s = 1..--s-max, and its fit a / (s - b)
 
---quick shrinks every range to a seconds-scale smoke run.
+--quick shrinks every range to a seconds-scale smoke run.  A pcat call
+that fails ends the run with its exit code.
 """
 
 import argparse
-import math
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pericatalan.asymptotics import (
-    defect_csv,
-    defect_series,
-    linear_regression,
-    log_peri_table,
-    quotient_csv,
-    rational_fit,
-    regression_points,
-)
-from pericatalan.enumeration import write_atomic
+from pericatalan import cli
 
 
 def main():
@@ -43,45 +33,20 @@ def main():
     if args.quick:
         args.n_max, args.s_max, args.proxy_n = 400, 20, 400
     s_list = [int(tok) for tok in args.s_list.split(",") if tok.strip()]
+    reg_s = 12 if 12 in s_list else s_list[-1]
+    calls = [(f"quotient-s{s}.csv", ["quotient", "--s", str(s), "--n-max", str(args.n_max)]) for s in s_list]
+    calls.append(("regression.txt", ["regress", "--s", str(reg_s), "--n-min", str(min(100, args.n_max // 4)),
+                                     "--n-max", str(args.n_max)]))
+    calls.append(("fit.json", ["fit", "--s-max", str(args.s_max), "--proxy-n", str(args.proxy_n), "--format", "json"]))
+
     os.makedirs(args.out_dir, exist_ok=True)
-
-    def save(name, text):
+    for name, argv in calls:
         path = os.path.join(args.out_dir, name)
-        write_atomic(path, text)
+        print("pcat " + " ".join(argv), file=sys.stderr)
+        rc = cli.main(argv + ["--out", path])
+        if rc != 0:
+            sys.exit(rc)
         print(f"wrote {path}", file=sys.stderr)
-
-    tables = {}
-    for s in s_list:
-        t0 = time.perf_counter()
-        tables[s] = log_peri_table(s, args.n_max)
-        print(f"log table s={s} n<={args.n_max}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-        save(f"quotient-s{s}.csv", quotient_csv(tables[s]))
-
-    reg_s = 12 if 12 in tables else s_list[-1]
-    n_lo = min(100, args.n_max // 4)
-    reg = linear_regression(regression_points(tables[reg_s], n_lo, args.n_max))
-    save(
-        "regression.txt",
-        f"series: ln P - ln C_n against n, s = {reg_s}, n = {n_lo}..{args.n_max}\n"
-        f"slope     = {reg.slope:.6f}   (ln 3s = {math.log(3 * reg_s):.6f})\n"
-        f"intercept = {reg.intercept:.6f}   (-ln 3 = {-math.log(3):.6f})\n"
-        f"residual stderr = {reg.residual_stderr:.3e}\n",
-    )
-
-    t0 = time.perf_counter()
-    series = defect_series(range(1, args.s_max + 1), args.proxy_n)
-    print(f"defect series s<={args.s_max} at n={args.proxy_n}: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-    save("defects.csv", defect_csv(series))
-
-    fit = rational_fit(series)
-    golden_log = math.log((1 + math.sqrt(5)) / 2)
-    save(
-        "fit.txt",
-        f"defect(s, n={args.proxy_n}) ~ a / (s - b), s = 1..{args.s_max}\n"
-        f"a = {fit.a:.6f}\n"
-        f"b = {fit.b:.6f}   (ln((1+sqrt 5)/2) = {golden_log:.6f})\n"
-        f"residual stderr = {fit.residual_stderr:.3e}\n",
-    )
 
 
 if __name__ == "__main__":

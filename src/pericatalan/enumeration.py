@@ -10,7 +10,10 @@ are kept side by side:
 * peri_catalan_recursive: bootstraps the same numbers through the
   auxiliary bivariate count m(a, b) = P_a P_b - m(a - b, b), m(a, b) = 0
   whenever a <= 0 or b <= 0, which subtracts the words lost to root
-  cancelation.  P(s, n) = 3 * sum_k m(n - k, k).
+  cancelation.  P(s, n) = 3 * sum_k m(n - k, k).  It fills bottom-up by
+  pair sum n = a + b over the canonical half a >= b, in the order and
+  with the halved sum that asymptotics.log_peri_table uses for its
+  float ratios rho = m / (P_a P_b).
 
 The two routes share no code below the P_0/P_1 base cases, so agreement
 between them is a real consistency check, exercised in the test suite.
@@ -23,7 +26,7 @@ digit is refused, not served.
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import CacheError, CacheIntegrityError, DomainError
@@ -95,52 +98,29 @@ def peri_catalan(s: int, n: int) -> int:
     return values[n]
 
 
-def _aux(s: int, a: int, b: int, memo: dict) -> int:
-    # memo keys: ("p", j) -> P(s, j); ("m", hi, lo) with hi >= lo -> m(a, b).
-    if a <= 0 or b <= 0:
-        return 0
-    hi, lo = (a, b) if a >= b else (b, a)
-    _need_p(s, hi, memo)
-    stack = []
-    while True:
-        key = ("m", hi, lo)
-        if key in memo:
-            val = memo[key]
-            break
-        if hi == lo:
-            val = memo[("p", hi)] ** 2
-            memo[key] = val
-            break
-        stack.append((hi, lo))
-        d = hi - lo
-        hi, lo = (d, lo) if d >= lo else (lo, d)
-    while stack:
-        hi, lo = stack.pop()
-        val = memo[("p", hi)] * memo[("p", lo)] - val
-        memo[("m", hi, lo)] = val
-    return val
-
-
-def _need_p(s: int, n: int, memo: dict) -> None:
-    # Fill memo with P(s, j) for j <= n through the subtractive recursion.
-    top = memo.get("p_top")
-    if top is None:
-        memo[("p", 0)] = 0
-        memo[("p", 1)] = s
-        top = 1
-    if top >= n:
-        return
-    for j in range(top + 1, n + 1):
-        memo["p_top"] = j - 1
-        memo[("p", j)] = 3 * sum(_aux(s, j - k, k, memo) for k in range(1, j))
-    memo["p_top"] = n
-
-
-def _claim_memo(s: int, memo: dict) -> None:
-    # A memo dict is bound to one s for its whole life.
+def _fill(s: int, n_max: int, memo: dict) -> list:
+    # Grow memo["p"] = [P(s, 0), P(s, 1), ...] to n_max by pair sum n: for
+    # hi = ceil(n/2) .. n-1, lo = n - hi, store m(hi, lo) under (hi, lo).
+    # m(hi - lo, lo) has pair sum hi < n, so it is already stored.  The
+    # order and the canonical-half sum are those of log_peri_table's rho.
     owner = memo.setdefault("s", s)
     if owner != s:
         raise DomainError(f"memo already holds values for s={owner}, not s={s}")
+    p = memo.setdefault("p", [0, s])
+    for n in range(len(p), n_max + 1):
+        off = 0
+        for hi in range(n // 2 + 1, n):
+            lo = n - hi
+            d = hi - lo
+            m = p[hi] * p[lo] - memo[(d, lo) if d >= lo else (lo, d)]
+            memo[hi, lo] = m
+            off += m
+        diag = 0
+        if n % 2 == 0:
+            h = n // 2
+            diag = memo[h, h] = p[h] * p[h]
+        p.append(3 * (2 * off + diag))
+    return p
 
 
 def aux_bivariate(s: int, a: int, b: int, memo: dict | None = None) -> int:
@@ -153,8 +133,15 @@ def aux_bivariate(s: int, a: int, b: int, memo: dict | None = None) -> int:
         raise DomainError(f"aux_bivariate needs s >= 1, got {s}")
     if memo is None:
         memo = {}
-    _claim_memo(s, memo)
-    return _aux(s, a, b, memo)
+    hi, lo = (a, b) if a >= b else (b, a)
+    p = _fill(s, hi if lo > 0 else 0, memo)  # off the domain: the owner check only
+    if lo <= 0:
+        return 0
+    d = hi - lo
+    if d == 0:
+        return p[hi] * p[hi]
+    # Every pair with sum <= hi is stored, m(d, lo) among them.
+    return p[hi] * p[lo] - memo[(d, lo) if d >= lo else (lo, d)]
 
 
 def peri_catalan_recursive(s: int, n: int, memo: dict | None = None) -> int:
@@ -164,21 +151,15 @@ def peri_catalan_recursive(s: int, n: int, memo: dict | None = None) -> int:
         raise DomainError(f"peri_catalan_recursive needs s >= 1 and n >= 0, got s={s} n={n}")
     if n == 0:
         return 0
-    if memo is None:
-        memo = {}
-    _claim_memo(s, memo)
-    _need_p(s, n, memo)
-    return memo[("p", n)]
+    return _fill(s, n, {} if memo is None else memo)[n]
 
 
 @dataclass
 class PeriTable:
-    """Exact counts P(s, n) for n = 0 .. n_max, plus an optional memo of
-    auxiliary m values keyed by canonical (max, min) pairs."""
+    """Exact counts P(s, n) for n = 0 .. n_max."""
 
     s: int
     values: list
-    m_values: dict = field(default_factory=dict)
 
     @property
     def n_max(self) -> int:
@@ -188,32 +169,6 @@ class PeriTable:
         if not 0 <= n <= self.n_max:
             raise DomainError(f"n={n} outside table range 0..{self.n_max}")
         return self.values[n]
-
-    def aux(self, a: int, b: int) -> int:
-        """m(a, b) computed from this table's P values; memoized."""
-        if a <= 0 or b <= 0:
-            return 0
-        hi, lo = (a, b) if a >= b else (b, a)
-        if hi > self.n_max:
-            raise DomainError(f"aux({a}, {b}) needs P values up to {hi}, table stops at {self.n_max}")
-        # Descend to a memoized pair or to lo = 0 (m vanishes), then
-        # unwind.  Iterative: the walk from (n, 1) takes n steps.
-        p, memo = self.values, self.m_values
-        stack = []
-        val = 0
-        while lo > 0:
-            got = memo.get((hi, lo))
-            if got is not None:
-                val = got
-                break
-            stack.append((hi, lo))
-            d = hi - lo
-            hi, lo = (d, lo) if d >= lo else (lo, d)
-        while stack:
-            hi, lo = stack.pop()
-            val = p[hi] * p[lo] - val
-            memo[(hi, lo)] = val
-        return val
 
 
 def _extend_values(s: int, values: list, n_max: int) -> None:

@@ -28,24 +28,6 @@ class EuclidTrace:
     epsilons: tuple[int, ...]
     steps: int
 
-    def remainder(self, l: int) -> int:
-        """r_l for -1 <= l <= steps + 1."""
-        if not -1 <= l <= self.steps + 1:
-            raise DomainError(f"remainder index {l} outside -1..{self.steps + 1}")
-        return self.remainders[l + 1]
-
-    def quotient(self, l: int) -> int:
-        """q_l for 1 <= l <= steps + 1."""
-        if not 1 <= l <= self.steps + 1:
-            raise DomainError(f"quotient index {l} outside 1..{self.steps + 1}")
-        return self.quotients[l - 1]
-
-    def epsilon(self, l: int) -> int:
-        """eps_l for 0 <= l <= steps."""
-        if not 0 <= l <= self.steps:
-            raise DomainError(f"epsilon index {l} outside 0..{self.steps}")
-        return self.epsilons[l]
-
     @property
     def gcd(self) -> int:
         return self.remainders[self.steps + 1]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pericatalan import asymptotics, cli, freewords
+from pericatalan import asymptotics, cli, enumeration, freewords
 from pericatalan.enumeration import build_table
 
 
@@ -119,6 +119,16 @@ def test_oracle_rooted(capsys):
     assert all("oracle=144 formula=144 ok" in line for line in lines)
     names = [line.split()[3] for line in lines]
     assert names == [f"root={op.name}" for op in freewords.ALL_OPS]
+
+
+def test_oracle_rooted_guard_before_formula(capsys, monkeypatch):
+    # m(3000, 3000) takes minutes and gigabytes; the guard must refuse first.
+    def formula(*args, **kwargs):
+        raise AssertionError("aux_bivariate called before the oracle's guards")
+
+    monkeypatch.setattr(enumeration, "aux_bivariate", formula)
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--rooted", "3000,3000")
+    assert rc == 4 and out == "" and "refused:" in err
 
 
 def test_oracle_guard(capsys):
@@ -316,4 +326,21 @@ def test_cache_one_wrong_digit_exits_three(capsys, tmp_path):
 def test_bad_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--s-list", "1", "--n-max", "3", "--format", "yaml"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "1", "--n", "3", "--cache-dir", "d"],
+    ["quotient", "--s", "2", "--n-max", "4", "--cache-dir", "d"],
+    ["regress", "--s", "2", "--cache-dir", "d"],
+    ["fit", "--s-max", "3", "--cache-dir", "d"],
+    ["word", "--word", "a", "--cache-dir", "d"],
+    ["compute", "--s", "2", "--n", "4", "--format", "json"],
+    ["oracle", "--s", "1", "--n", "3", "--format", "csv"],
+    ["regress", "--s", "2", "--format", "csv"],
+    ["word", "--word", "a", "--format", "csv"],
+])
+def test_unread_flag_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     assert exc.value.code == 2

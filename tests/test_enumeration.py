@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from pericatalan.enumeration import (
     CACHE_MAGIC,
-    PeriTable,
     aux_bivariate,
     build_table,
     catalan,
@@ -137,28 +136,59 @@ def test_memo_reuse_is_consistent():
     assert fresh == shared == [0] + GOLDEN_FIRST_TEN[2]
 
 
-def test_peritable_access_and_aux():
+def test_peritable_access():
     t = build_table(2, 6)
     assert t.n_max == 6
     assert t[4] == 1752
     with pytest.raises(DomainError):
         t[7]
-    assert t.aux(2, 2) == 144
-    assert t.aux(2, 2) == aux_bivariate(2, 2, 2)
-    assert t.aux(0, 3) == 0
-    with pytest.raises(DomainError):
-        t.aux(7, 1)
-    # memo keys are canonical (max, min) pairs
-    t.aux(1, 5)
-    assert all(hi >= lo for hi, lo in t.m_values)
 
 
-def test_peritable_aux_deep_walk():
-    # aux(n, 1) takes n subtraction steps: past the default recursion limit.
+def _m_walk(p, a, b):
+    # m(a, b) from P values alone: walk m(a, b) = P_a P_b - m(a - b, b)
+    # down to a zero side, then unwind.
+    products = []
+    while a > 0 and b > 0:
+        hi, lo = (a, b) if a >= b else (b, a)
+        products.append(p[hi] * p[lo])
+        a, b = hi - lo, lo
+    val = 0
+    for prod in reversed(products):
+        val = prod - val
+    return val
+
+
+def test_aux_deep_walk():
+    # m(1100, 1) unwinds through 1100 subtractions.
     memo = {}
-    values = [peri_catalan_recursive(1, n, memo) for n in range(1101)]
-    assert PeriTable(s=1, values=values).aux(1100, 1) == aux_bivariate(1, 1100, 1, memo)
-    assert PeriTable(s=1, values=values).aux(1099, 1100) == aux_bivariate(1, 1100, 1099, memo)
+    peri_catalan_recursive(1, 1100, memo)
+    p = memo["p"]
+    assert aux_bivariate(1, 1100, 1, memo) == _m_walk(p, 1100, 1)
+    assert aux_bivariate(1, 1099, 1100, memo) == _m_walk(p, 1099, 1100)
+    assert aux_bivariate(1, 1100, 1, memo) == p[1100] * p[1] - aux_bivariate(1, 1099, 1, memo)
+
+
+@pytest.mark.parametrize("s", [1, 2, 12])
+def test_verifier_blocks_nonnegative(s):
+    # Each stored m(hi, lo) is a per-k block of the closed form.
+    memo = {}
+    peri_catalan_recursive(s, 200, memo)
+    assert all(v >= 0 for k, v in memo.items() if k not in ("s", "p"))
+
+
+def _pairs(n_max):
+    # the canonical pairs hi >= lo >= 1 with hi + lo <= n_max
+    return {(hi, n - hi) for n in range(2, n_max + 1) for hi in range((n + 1) // 2, n)}
+
+
+def test_verifier_memo_keys():
+    memo = {}
+    assert peri_catalan_recursive(3, 40, memo) == peri_catalan(3, 40)
+    assert set(memo) == {"s", "p"} | _pairs(40)
+    assert memo["s"] == 3 and len(memo["p"]) == 41
+    # fills to max(a, b) = 45; the pair (45, 30) itself is read, not stored
+    assert aux_bivariate(3, 45, 30, memo) == _m_walk(memo["p"], 45, 30)
+    assert set(memo) == {"s", "p"} | _pairs(45)
 
 
 @given(st.integers(1, 5), st.integers(0, 25))

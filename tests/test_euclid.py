@@ -34,21 +34,6 @@ def test_trace_10_4():
     assert t.gcd == 2
 
 
-def test_accessors():
-    t = euclid_trace(10, 4)
-    assert t.remainder(-1) == 10
-    assert t.remainder(0) == 4
-    assert t.remainder(t.steps + 1) == 0
-    assert t.quotient(1) == 2
-    assert t.epsilon(0) == 1
-    with pytest.raises(DomainError):
-        t.remainder(t.steps + 2)
-    with pytest.raises(DomainError):
-        t.quotient(0)
-    with pytest.raises(DomainError):
-        t.epsilon(t.steps + 1)
-
-
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 0), (2, 2), (5, 7), (0, 1), (3, -1)])
 def test_domain_errors(n, k):
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,10 +17,11 @@ def test_growth_experiments_quick(tmp_path):
     proc = run_script("growth_experiments.py", "--quick", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     names = [f"quotient-s{s}.csv" for s in (1, 3, 6, 12)]
-    for name in names + ["regression.txt", "defects.csv", "fit.txt"]:
+    for name in names + ["regression.txt", "fit.json"]:
         assert (tmp_path / name).is_file(), name
-    # header + s = 1..20
-    assert len((tmp_path / "defects.csv").read_text().splitlines()) == 21
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    # s = 1..20
+    assert [row["s"] for row in fit["series"]] == list(range(1, 21))
 
 
 def test_first_ten_table():
