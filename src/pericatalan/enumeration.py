@@ -6,14 +6,18 @@ are kept side by side:
 
 * peri_catalan: the closed form.  Each (n, k) block is a signed sum of
   products P(s, i) * P(s, j) whose indices and signs come straight from
-  the division-algorithm trace of (n, k).
+  the division-algorithm trace of (n, k).  The trace is walked inline
+  with divmod, and each step's common factor P(s, r_cur) is taken out of
+  its alternating sum, so a step costs one bigint product.  Each block
+  is asserted nonnegative.
 * peri_catalan_recursive: bootstraps the same numbers through the
   auxiliary bivariate count m(a, b) = P_a P_b - m(a - b, b), m(a, b) = 0
   whenever a <= 0 or b <= 0, which subtracts the words lost to root
   cancelation.  P(s, n) = 3 * sum_k m(n - k, k).  It fills bottom-up by
   pair sum n = a + b over the canonical half a >= b, in the order and
   with the halved sum that asymptotics.log_peri_table uses for its
-  float ratios rho = m / (P_a P_b).
+  float ratios rho = m / (P_a P_b).  It keeps the whole m triangle, so
+  a fill priced above FILL_CEILING bytes raises ResourceGuardError.
 
 The two routes share no code below the P_0/P_1 base cases, so agreement
 between them is a real consistency check, exercised in the test suite.
@@ -27,10 +31,9 @@ digit is refused, not served.
 import os
 import tempfile
 from dataclasses import dataclass
-from math import comb
+from math import comb, log2
 
-from .errors import CacheError, CacheIntegrityError, DomainError
-from .euclid import euclid_trace
+from .errors import CacheError, CacheIntegrityError, DomainError, ResourceGuardError
 
 # CPython's own sha256 where it has one: hashlib loads OpenSSL at import,
 # which adds about 3.6 MB to the resident size of every process.
@@ -44,6 +47,12 @@ except ImportError:
 
 CACHE_MAGIC = "pcat-cache v2"
 _CACHE_V1 = "pcat-cache v1"  # no digest: such a file is recomputed, never read
+
+# Largest priced m triangle the verifier fills, in bytes.  Measured peak
+# RSS of a fill from scratch (Python 3.11): s=1 N=500 46 MB, N=1000 143 MB,
+# N=1500 371 MB; s=64 N=1000 274 MB.  _triangle_bytes tracks those less
+# the interpreter's 28 MB to within 10%: N=1100 at s=1 passes, 1500 does not.
+FILL_CEILING = 256 * 2**20
 
 
 def catalan(n: int) -> int:
@@ -64,23 +73,38 @@ def word_count_bound(s: int, n: int) -> int:
 
 
 def _closed_form_value(s: int, n: int, p: list) -> int:
-    # p[j] must hold P(s, j) for 1 <= j < n.
+    # p[j] must hold P(s, j) for 1 <= j < n.  Block k walks the division
+    # algorithm on (n, k) inline: a step (r_prev, r_cur) with quotient q
+    # adds the terms +-p[r_prev - j r_cur] p[r_cur], j < q, signed by
+    # (-1)^(eps + j), so p[r_cur] is factored out and the step costs one
+    # product with an alternating sum.  The first step, (n, k) with
+    # eps_0 = 1, starts at j = 1; later steps start at j = 0.
     if n == 1:
         return s
     total = 0
     for k in range(1, n):
-        tr = euclid_trace(n, k)
-        r, q, eps = tr.remainders, tr.quotients, tr.epsilons
-        block = 0
-        # r[i + 1] is r_i; q[i] is q_{i+1}; eps[i] is eps_i.
-        for j in range(1, q[0]):
-            term = p[r[0] - j * r[1]] * p[r[1]]
-            block += -term if (eps[0] + j) & 1 else term
-        for i in range(1, tr.steps + 1):
-            r_prev, r_cur, q_next, e = r[i], r[i + 1], q[i], eps[i]
-            for j in range(q_next):
-                term = p[r_prev - j * r_cur] * p[r_cur]
-                block += -term if (e + j) & 1 else term
+        q, r = divmod(n, k)
+        if q == 1:
+            block = 0
+        else:
+            terms = p[n - k:r:-k]  # p[n - j k] for j = 1 .. q - 1
+            block = (sum(terms[::2]) - sum(terms[1::2])) * p[k]
+        # the next step's j = 0 term has sign (-1)^eps_1, eps_1 = 1 + q
+        a, b, plus = k, r, q & 1
+        while b:
+            q, r = divmod(a, b)
+            if q == 1:
+                t = p[a] * p[b]
+            else:
+                terms = p[a:r:-b]  # p[a - j b] for j = 0 .. q - 1
+                t = (sum(terms[::2]) - sum(terms[1::2])) * p[b]
+            if plus:
+                block += t
+            else:
+                block -= t
+            if q & 1:
+                plus = not plus
+            a, b = b, r
         if block < 0:
             raise AssertionError(f"negative block at s={s} n={n} k={k}: {block}")
         total += block
@@ -98,6 +122,13 @@ def peri_catalan(s: int, n: int) -> int:
     return values[n]
 
 
+def _triangle_bytes(s: int, n: int) -> int:
+    # The m triangle to pair sum n: about n^2/4 dict entries of 172 bytes
+    # (slot, tuple key, int header) plus the digits, 30 bits per 4 bytes,
+    # of m(hi, lo) < (12 s)^(hi + lo), whose exponents sum to about n^3/6.
+    return n * n // 4 * 172 + int(n**3 / 6 * log2(12 * s) / 7.5)
+
+
 def _fill(s: int, n_max: int, memo: dict) -> list:
     # Grow memo["p"] = [P(s, 0), P(s, 1), ...] to n_max by pair sum n: for
     # hi = ceil(n/2) .. n-1, lo = n - hi, store m(hi, lo) under (hi, lo).
@@ -107,6 +138,12 @@ def _fill(s: int, n_max: int, memo: dict) -> list:
     if owner != s:
         raise DomainError(f"memo already holds values for s={owner}, not s={s}")
     p = memo.setdefault("p", [0, s])
+    price = _triangle_bytes(s, n_max) if n_max >= len(p) else 0
+    if price > FILL_CEILING:
+        raise ResourceGuardError(
+            f"verifier fill past {FILL_CEILING / 2**20:.0f} MB refused "
+            f"(requested n={n_max}: a {price / 2**20:.0f} MB m triangle)"
+        )
     for n in range(len(p), n_max + 1):
         off = 0
         for hi in range(n // 2 + 1, n):
@@ -179,12 +216,16 @@ def _extend_values(s: int, values: list, n_max: int) -> None:
 def write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory and
     os.replace, so a reader sees the old file or the new one, never a
-    partial write.  The temp file is removed on any failure; OSError
-    propagates for the caller to report."""
+    partial write.  The file gets the mode a plain open gives, 0o666
+    less the umask, not mkstemp's 0o600.  The temp file is removed on
+    any failure; OSError propagates for the caller to report."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pcat-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

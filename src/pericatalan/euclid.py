@@ -1,9 +1,11 @@
 """Division-algorithm traces: quotients, remainders and sign offsets.
 
-The closed-form word count consumes, for every pair (n, k) with
-1 <= k < n, the full run of the division algorithm on (n, k) plus the
-partial quotient sums that drive the alternating signs.  Indexing
-convention: remainders r_{-1} = n, r_0 = k, ..., r_L = gcd(n, k),
+The closed-form word count is a signed sum over, for every pair (n, k)
+with 1 <= k < n, the full run of the division algorithm on (n, k), with
+the partial quotient sums driving the alternating signs.  The closed
+form itself walks that run inline (enumeration._closed_form_value); a
+trace here is the tested reference for that walk, term by term.
+Indexing convention: remainders r_{-1} = n, r_0 = k, ..., r_L = gcd(n, k),
 r_{L+1} = 0, with r_{l-2} = q_l * r_{l-1} + r_l for l = 1 .. L+1.
 """
 

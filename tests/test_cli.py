@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -129,6 +131,13 @@ def test_oracle_rooted_guard_before_formula(capsys, monkeypatch):
     monkeypatch.setattr(enumeration, "aux_bivariate", formula)
     rc, out, err = run(capsys, "oracle", "--s", "1", "--rooted", "3000,3000")
     assert rc == 4 and out == "" and "refused:" in err
+
+
+def test_oracle_rooted_fill_guard_exits_four(capsys, monkeypatch):
+    # the split passes the oracle's guards; the verifier's fill is refused
+    monkeypatch.setattr(enumeration, "FILL_CEILING", 100)
+    rc, out, err = run(capsys, "oracle", "--s", "2", "--rooted", "3,2")
+    assert rc == 4 and out == "" and "refused:" in err and "requested n=3" in err
 
 
 def test_oracle_guard(capsys):
@@ -269,6 +278,19 @@ def test_out_file_atomic_and_deterministic(capsys, tmp_path):
     # and matches the stdout variant byte for byte
     rc, out, _ = run(capsys, "table", "--s-list", "2", "--n-max", "6", "--format", "csv")
     assert out.encode() == first
+
+
+def test_written_files_honour_umask(capsys, tmp_path):
+    # --out and cache files get 0o666 less the umask, as a plain open does
+    old = os.umask(0o022)
+    try:
+        target = tmp_path / "o.txt"
+        rc, _, _ = run(capsys, "compute", "--s", "2", "--n", "5", "--out", str(target), "--cache-dir", str(tmp_path))
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert stat.S_IMODE((tmp_path / "pcat-s2.txt").stat().st_mode) == 0o644
 
 
 @pytest.mark.parametrize("kind", ["missing_parent", "directory"])

@@ -5,8 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pericatalan import enumeration
 from pericatalan.enumeration import (
     CACHE_MAGIC,
+    _closed_form_value,
     aux_bivariate,
     build_table,
     catalan,
@@ -14,7 +16,8 @@ from pericatalan.enumeration import (
     peri_catalan_recursive,
     word_count_bound,
 )
-from pericatalan.errors import CacheError, CacheIntegrityError, DomainError
+from pericatalan.errors import CacheError, CacheIntegrityError, DomainError, ResourceGuardError
+from pericatalan.euclid import euclid_trace
 
 # golden first-ten columns, checked exactly in the acceptance suite as well
 GOLDEN_FIRST_TEN = {
@@ -174,6 +177,72 @@ def test_verifier_blocks_nonnegative(s):
     memo = {}
     peri_catalan_recursive(s, 200, memo)
     assert all(v >= 0 for k, v in memo.items() if k not in ("s", "p"))
+
+
+def _trace_block(p, n, k):
+    # Block k of P_n term by term from the Euclid trace of (n, k): one
+    # product p[r_prev - j r_cur] * p[r_cur] per term, signed (-1)^(eps + j).
+    tr = euclid_trace(n, k)
+    r, q, eps = tr.remainders, tr.quotients, tr.epsilons
+    block = 0
+    for j in range(1, q[0]):
+        term = p[r[0] - j * r[1]] * p[r[1]]
+        block += -term if (eps[0] + j) & 1 else term
+    for i in range(1, tr.steps + 1):
+        for j in range(q[i]):
+            term = p[r[i] - j * r[i + 1]] * p[r[i + 1]]
+            block += -term if (eps[i] + j) & 1 else term
+    return block
+
+
+def _recursion_column(s, n_max, memo):
+    # P(s, 0 .. n_max) from the verifier route
+    peri_catalan_recursive(s, n_max, memo)
+    return memo["p"]
+
+
+@pytest.mark.parametrize("s", [1, 2, 7])
+def test_trace_blocks_are_aux_values(s):
+    # Each per-k block of the trace is m(n - k, k), and 3 * their sum is
+    # what the inline walk of _closed_form_value returns.
+    memo = {}
+    p = _recursion_column(s, 60, memo)
+    for n in range(2, 61):
+        blocks = [_trace_block(p, n, k) for k in range(1, n)]
+        assert blocks == [aux_bivariate(s, n - k, k, memo) for k in range(1, n)]
+        assert _closed_form_value(s, n, p) == 3 * sum(blocks) == p[n]
+
+
+def test_negative_block_names_its_k():
+    # block(n, k) = block(n, n - k), so a doctored block can first show
+    # at k <= n/2.  With P_2 huge, k = 1 .. 3 of n = 9 stay nonnegative
+    # and k = 4 carries -P_2 P_1 unmatched.
+    p = list(_recursion_column(1, 9, {}))
+    p[2] = 10**40
+    assert [_trace_block(p, 9, k) >= 0 for k in range(1, 5)] == [True, True, True, False]
+    with pytest.raises(AssertionError, match=r"negative block at s=1 n=9 k=4: -"):
+        _closed_form_value(1, 9, p)
+
+
+def test_closed_form_column_s64_matches_recursion():
+    # the benchmark's largest s, past the s <= 12 of the acceptance suite
+    assert build_table(64, 300).values == _recursion_column(64, 300, {})
+
+
+def test_fill_guard_prices_the_triangle(monkeypatch):
+    # The default ceiling refuses m(1500, 1500) before any entry is stored.
+    memo = {}
+    with pytest.raises(ResourceGuardError, match=r"requested n=1500"):
+        aux_bivariate(1, 1500, 1500, memo)
+    assert memo == {"s": 1, "p": [0, 1]}
+    peri_catalan_recursive(1, 40, memo)
+    monkeypatch.setattr(enumeration, "FILL_CEILING", 1000)
+    # reads below the filled top need no growth and pass
+    assert aux_bivariate(1, 30, 10, memo) == _m_walk(memo["p"], 30, 10)
+    with pytest.raises(ResourceGuardError, match=r"refused \(requested n=41: "):
+        peri_catalan_recursive(1, 41, memo)
+    with pytest.raises(ResourceGuardError, match=r"requested n=12"):
+        aux_bivariate(2, 12, 5)
 
 
 def _pairs(n_max):
