@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Save one point of the benchmark trajectory as BENCH_<tag>.json.
 
-    python3 scripts/bench_save.py --tag pr8 --seeds 1-5
+    python3 scripts/bench_save.py --tag mytag --seeds 1-5
 
 Runs the benchmark command of BENCHMARK.json (perfbench/run.py) once per
 seed and workload listed there, one run at a time, with the run length
