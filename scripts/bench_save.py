@@ -11,7 +11,8 @@ and end-to-end metric the median and the quartiles over the seeds
 (statistics.quantiles(values, n=4)), the ops attempted and failed, the
 seeds, the run length, the machine and the commit measured (`git
 rev-parse HEAD`, and whether tracked files had uncommitted changes).  A
-run that exits nonzero stops the script before anything is written.
+run that exits nonzero stops the script before anything is written, and
+the file is replaced atomically, so it is never left half written.
 """
 
 import argparse
@@ -22,9 +23,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
 import spread  # noqa: E402  (perfbench/spread.py: seeds, machine, run_once)
+from pericatalan.enumeration import write_atomic  # noqa: E402
 
 
 def summarize(values: list) -> dict:
@@ -86,9 +88,7 @@ def main(argv=None, runner=spread.run_once) -> int:
         "workloads": aggregate(results, spec["end_to_end"]),
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
 

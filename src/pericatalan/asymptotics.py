@@ -27,9 +27,10 @@ diagonal (d = 0) multiplies that read by exp(l_0 - l_hi) = 0, so it only
 needs a finite value there, not a boundary row.  Tables past
 n = LOG_CEILING are refused: the store would outgrow memory.
 
-Also here: the normalized growth quotient l_n / ln(bound), its
-complement the cancelation defect, ordinary least squares, and the
-rational fit defect ~ a / (s - b).
+Also here: the normalized growth quotient l_n / ln(bound) as one array
+series, its complement the cancelation defect, ordinary least squares,
+and the rational fit defect ~ a / (s - b).  This module returns numbers;
+the command line owns every output layout.
 """
 
 import math
@@ -77,10 +78,6 @@ class LogTable:
         if not 1 <= n <= self.n_max:
             raise DomainError(f"n={n} outside table range 1..{self.n_max}")
         return float(self.catalan_values[n])
-
-    def log_bound(self, n: int) -> float:
-        """ln of the total tree count 3^(n-1) s^n C_n."""
-        return self.log_catalan(n) + n * math.log(3 * self.s) - _LOG3
 
     __getitem__ = log_value
 
@@ -162,18 +159,29 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
     return table
 
 
-def quotient(s: int, n: int, table: LogTable) -> float:
-    """Normalized growth: ln P(s, n) over ln of the total tree count.
+def quotient_series(table: LogTable, n_start: int = 2):
+    """Arrays n, ln P, ln bound and quotient for n = n_start .. n_max.
 
-    Always in (0, 1]: the count never exceeds the bound, with equality
-    exactly at n = 2, where plain float division can overshoot 1 by an
-    ulp; that proven-impossible excess is clamped away.
+    The bound is the total tree count 3^(n-1) s^n C_n, and the quotient
+    ln P / ln bound is always in (0, 1]: the count never exceeds the
+    bound, with equality exactly at n = 2, where plain float division can
+    overshoot 1 by an ulp; that proven-impossible excess is clamped away.
     """
-    if n < 2:
-        raise DomainError(f"quotient needs n >= 2 (denominator vanishes at s=1, n=1), got {n}")
+    if n_start < 2:
+        raise DomainError(f"quotient needs n >= 2 (denominator vanishes at s=1, n=1), got {n_start}")
+    n = np.arange(n_start, table.n_max + 1)
+    log_p = table.values[n_start:]
+    log_bound = table.catalan_values[n_start:] + n * math.log(3 * table.s) - _LOG3
+    return n, log_p, log_bound, np.minimum(1.0, log_p / log_bound)
+
+
+def quotient(s: int, n: int, table: LogTable) -> float:
+    """Normalized growth at one n: the quotient of quotient_series."""
     if table.s != s:
         raise DomainError(f"table holds s={table.s}, not s={s}")
-    return min(1.0, table.log_value(n) / table.log_bound(n))
+    if n > table.n_max:
+        raise DomainError(f"n={n} outside table range 1..{table.n_max}")
+    return float(quotient_series(table, n)[3][0])
 
 
 def cancelation_defect(s: int, n: int, table: LogTable) -> float:
@@ -190,14 +198,6 @@ def defect_series(s_values, proxy_n: int = 2000):
     return out
 
 
-def quotient_rows(table: LogTable):
-    """(n, ln P, ln bound, quotient) for n = 2 .. n_max."""
-    return [
-        (n, table.log_value(n), table.log_bound(n), quotient(table.s, n, table))
-        for n in range(2, table.n_max + 1)
-    ]
-
-
 def first_quotient_violation(table: LogTable, n_start: int = 3, slack: float = 1e-12):
     """Smallest n with quotient(n) < quotient(n-1) - slack, or None.
 
@@ -205,14 +205,7 @@ def first_quotient_violation(table: LogTable, n_start: int = 3, slack: float = 1
     n < 3, so the quotient is exactly 1 at n = 2 and the step to n = 3
     always decreases; monotone growth is only expected from 3 on.
     """
-    if n_start < 2:
-        raise DomainError(f"first_quotient_violation needs n_start >= 2, got {n_start}")
-    if table.n_max < n_start + 1:
-        return None
-    # quotient(n) for n = n_start .. n_max, elementwise as in quotient()
-    n = np.arange(n_start, table.n_max + 1)
-    bound = table.catalan_values[n_start:] + n * math.log(3 * table.s) - _LOG3
-    q = np.minimum(1.0, table.values[n_start:] / bound)
+    n, _, _, q = quotient_series(table, n_start)
     hits = np.flatnonzero(q[1:] < q[:-1] - slack)
     return int(n[hits[0] + 1]) if hits.size else None
 
@@ -297,22 +290,3 @@ def rational_fit(points) -> RationalFitResult:
     dof = len(pts) - 2 if len(pts) > 2 else 1
     stderr = math.sqrt(float(resid @ resid) / dof)
     return RationalFitResult(a=a, b=b, residual_stderr=stderr)
-
-
-def format_float(x: float) -> str:
-    """Lossless decimal form used in CSV output."""
-    return f"{x:.17g}"
-
-
-def quotient_csv(table: LogTable) -> str:
-    lines = ["n,logP,logBound,quotient"]
-    for n, lv, lb, q in quotient_rows(table):
-        lines.append(f"{n},{format_float(lv)},{format_float(lb)},{format_float(q)}")
-    return "\n".join(lines) + "\n"
-
-
-def defect_csv(series) -> str:
-    lines = ["s,defect"]
-    for s, d in series:
-        lines.append(f"{s},{format_float(d)}")
-    return "\n".join(lines) + "\n"

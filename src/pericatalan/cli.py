@@ -115,6 +115,17 @@ def _emit(out_path, text):
         raise CacheError(f"cannot write output file {out_path}: {e}") from e
 
 
+def _render(fmt, header, rows, envelope=None) -> str:
+    """Rows under header as CSV (ints as str, floats as .17g, which reads
+    back to the same double) or as JSON records, placed in
+    envelope(records) when one is given."""
+    if fmt == "csv":
+        return ",".join(header) + "\n" + "".join(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows)
+    records = [dict(zip(header, row)) for row in rows]
+    return json.dumps(records if envelope is None else envelope(records), indent=2) + "\n"
+
+
 def _note(msg):
     print(f"note: {msg}", file=sys.stderr)
 
@@ -122,12 +133,6 @@ def _note(msg):
 def _check_exact_ceiling(args, n):
     if n > EXACT_CEILING and not args.force_exact:
         raise ResourceGuardError(f"exact mode past n={EXACT_CEILING} needs --force-exact (requested n={n})")
-
-
-def _exact_value(args, s, n):
-    if args.cache_dir is not None:
-        return enumeration.build_table(s, n, args.cache_dir)[n]
-    return enumeration.peri_catalan(s, n)
 
 
 def cmd_compute(args) -> int:
@@ -139,7 +144,7 @@ def cmd_compute(args) -> int:
         raise DomainError(f"compute needs s >= 1 and n >= 1, got s={args.s} n={args.n}")
     if args.mode == "exact":
         _check_exact_ceiling(args, args.n)
-        _emit(args.out, f"{_exact_value(args, args.s, args.n)}\n")
+        _emit(args.out, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n")
     else:
         table = asymptotics.log_peri_table(args.s, max(args.n, 2))
         _emit(args.out, f"{table.log_value(args.n):.6g}\n")
@@ -163,13 +168,11 @@ def cmd_table(args) -> int:
         else:
             columns[s] = enumeration.build_table(s, args.n_max, args.cache_dir).values
     rows = [(n, s, columns[s][n]) for n in range(1, args.n_max + 1) for s in args.s_list]
-    if args.fmt == "csv":
-        body = "n,s,P\n" + "".join(f"{n},{s},{p}\n" for n, s, p in rows)
-    elif args.fmt == "json":
-        body = json.dumps([{"n": n, "s": s, "P": p} for n, s, p in rows], indent=2) + "\n"
-    else:
-        width = max((len(str(p)) for _, _, p in rows), default=1)
+    if args.fmt == "text":
+        width = max(len(str(p)) for _, _, p in rows)
         body = "".join(f"n={n:<4d} s={s:<4d} P={p:>{width}}\n" for n, s, p in rows)
+    else:
+        body = _render(args.fmt, ("n", "s", "P"), rows)
     _emit(args.out, body)
     return EXIT_OK
 
@@ -213,19 +216,11 @@ def cmd_quotient(args) -> int:
     if args.n_max < 2:
         raise DomainError(f"quotient needs n_max >= 2, got {args.n_max}")
     table = asymptotics.log_peri_table(args.s, args.n_max)
-    if args.fmt == "csv":
-        body = asymptotics.quotient_csv(table)
-    elif args.fmt == "json":
-        body = json.dumps(
-            {"s": args.s, "rows": [
-                {"n": n, "logP": lv, "logBound": lb, "quotient": q}
-                for n, lv, lb, q in asymptotics.quotient_rows(table)
-            ]}, indent=2) + "\n"
+    rows = list(zip(*(a.tolist() for a in asymptotics.quotient_series(table))))
+    if args.fmt == "text":
+        body = "".join(f"n={n:<5d} logP={lv:.6g} logBound={lb:.6g} quotient={q:.6g}\n" for n, lv, lb, q in rows)
     else:
-        body = "".join(
-            f"n={n:<5d} logP={lv:.6g} logBound={lb:.6g} quotient={q:.6g}\n"
-            for n, lv, lb, q in asymptotics.quotient_rows(table)
-        )
+        body = _render(args.fmt, ("n", "logP", "logBound", "quotient"), rows, lambda records: {"s": args.s, "rows": records})
     _emit(args.out, body)
     return EXIT_OK
 
@@ -266,16 +261,7 @@ def cmd_fit(args) -> int:
         raise DomainError(f"fit needs --proxy-n >= 3 (every defect at n = 2 is 0), got {args.proxy_n}")
     series = asymptotics.defect_series(range(1, args.s_max + 1), args.proxy_n)
     fit = asymptotics.rational_fit(series)
-    if args.fmt == "csv":
-        body = asymptotics.defect_csv(series)
-    elif args.fmt == "json":
-        body = json.dumps({
-            "proxy_n": args.proxy_n,
-            "series": [{"s": s, "defect": d} for s, d in series],
-            "fit": {"a": fit.a, "b": fit.b, "residual_stderr": fit.residual_stderr},
-            "ref_a": REF_FIT_A, "ref_b": REF_FIT_B, "golden_log": GOLDEN_LOG,
-        }, indent=2) + "\n"
-    else:
+    if args.fmt == "text":
         body = (
             f"defect(s, n={args.proxy_n}) fitted to a / (s - b) over s = 1..{args.s_max}\n"
             f"a               = {fit.a:.6g}\n"
@@ -285,6 +271,13 @@ def cmd_fit(args) -> int:
             f"  vs ln((1+sqrt 5)/2) = {GOLDEN_LOG:.6g} : {fit.b - GOLDEN_LOG:+.6g}\n"
             f"residual stderr = {fit.residual_stderr:.6g}\n"
         )
+    else:
+        body = _render(args.fmt, ("s", "defect"), series, lambda records: {
+            "proxy_n": args.proxy_n,
+            "series": records,
+            "fit": {"a": fit.a, "b": fit.b, "residual_stderr": fit.residual_stderr},
+            "ref_a": REF_FIT_A, "ref_b": REF_FIT_B, "golden_log": GOLDEN_LOG,
+        })
     _emit(args.out, body)
     return EXIT_OK
 
@@ -318,10 +311,17 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if "cache_dir" in args:  # compute and table: the flag wins over the environment
-        args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
+    # Exact counts outgrow Python's int <-> str digit limit (4300 by
+    # default) inside EXACT_CEILING, e.g. P(12, n) from n = 1998.  The limit
+    # is lifted for this run only and the caller's value set back after.
+    # Python 3.10 builds older than 3.10.7 have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        if "cache_dir" in args:  # compute and table: the flag wins over the environment
+            args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
         return _DISPATCH[args.command](args)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -332,6 +332,9 @@ def main(argv=None) -> int:
     except ResourceGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_GUARD
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

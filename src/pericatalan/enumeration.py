@@ -29,7 +29,6 @@ digit is refused, not served.
 """
 
 import os
-import tempfile
 from dataclasses import dataclass
 from math import comb, log2
 
@@ -73,14 +72,12 @@ def word_count_bound(s: int, n: int) -> int:
 
 
 def _closed_form_value(s: int, n: int, p: list) -> int:
-    # p[j] must hold P(s, j) for 1 <= j < n.  Block k walks the division
-    # algorithm on (n, k) inline: a step (r_prev, r_cur) with quotient q
-    # adds the terms +-p[r_prev - j r_cur] p[r_cur], j < q, signed by
-    # (-1)^(eps + j), so p[r_cur] is factored out and the step costs one
-    # product with an alternating sum.  The first step, (n, k) with
-    # eps_0 = 1, starts at j = 1; later steps start at j = 0.
-    if n == 1:
-        return s
+    # n >= 2, and p[j] must hold P(s, j) for 1 <= j < n.  Block k walks
+    # the division algorithm on (n, k) inline: a step (r_prev, r_cur) with
+    # quotient q adds the terms +-p[r_prev - j r_cur] p[r_cur], j < q,
+    # signed by (-1)^(eps + j), so p[r_cur] is factored out and the step
+    # costs one product with an alternating sum.  The first step, (n, k)
+    # with eps_0 = 1, starts at j = 1; later steps start at j = 0.
     total = 0
     for k in range(1, n):
         q, r = divmod(n, k)
@@ -216,16 +213,14 @@ def _extend_values(s: int, values: list, n_max: int) -> None:
 def write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory and
     os.replace, so a reader sees the old file or the new one, never a
-    partial write.  The file gets the mode a plain open gives, 0o666
-    less the umask, not mkstemp's 0o600.  The temp file is removed on
+    partial write.  The temp file is created with mode 0o666, which the
+    kernel reduces by the umask as for a plain open.  It is removed on
     any failure; OSError propagates for the caller to report."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pcat-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".pcat-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -265,8 +260,8 @@ def _load_cache(path: str, s: int) -> list | None:
             raise CacheIntegrityError(f"{path}:{lineno}: expected '<n> <value>'")
         try:
             n, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise CacheIntegrityError(f"{path}:{lineno}: non-integer field") from e
+        except ValueError as e:  # also a value past sys.get_int_max_str_digits()
+            raise CacheIntegrityError(f"{path}:{lineno}: non-integer field: {e}") from e
         if n != len(values):
             raise CacheIntegrityError(f"{path}:{lineno}: expected n={len(values)}, got {n}")
         if v < 0 or v > bound:
@@ -283,11 +278,13 @@ def _load_cache(path: str, s: int) -> list | None:
 
 
 def _save_cache(path: str, s: int, values: list) -> None:
-    body = "".join(f"{n} {values[n]}\n" for n in range(1, len(values)))
-    digest = sha256(body.encode("ascii")).hexdigest()
+    # ValueError: a value past sys.get_int_max_str_digits(), which the
+    # library leaves as the caller set it
     try:
+        body = "".join(f"{n} {values[n]}\n" for n in range(1, len(values)))
+        digest = sha256(body.encode("ascii")).hexdigest()
         write_atomic(path, f"{CACHE_MAGIC} s={s} sha256={digest}\n{body}")
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise CacheError(f"cannot write cache {path}: {e}") from e
 
 

@@ -375,7 +375,10 @@ def parse_word(text: str, s: int | None = None):
             if len(tok) == 1:
                 idx = ord(tok) - 96
             elif tok[0] == "a":
-                idx = int(tok[1:])
+                try:
+                    idx = int(tok[1:])
+                except ValueError as e:  # a non-ASCII digit, or past sys.get_int_max_str_digits()
+                    fail(f"bad generator index ({e})", start)
             else:
                 fail(f"unknown generator {tok!r}", start)
             if idx < 1 or (s is not None and idx > s):

@@ -1,23 +1,18 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pericatalan import asymptotics
 from pericatalan.asymptotics import (
     LogTable,
     cancelation_defect,
-    defect_csv,
     defect_series,
     first_quotient_violation,
-    format_float,
     linear_regression,
     log_peri_table,
     quotient,
-    quotient_csv,
-    quotient_rows,
+    quotient_series,
     rational_fit,
     regression_points,
 )
@@ -48,8 +43,10 @@ def test_matches_exact_small():
 
 def test_log_bound_matches_exact_bound():
     t = log_peri_table(2, 30)
-    for n in (1, 2, 7, 30):
-        assert abs(t.log_bound(n) - math.log(word_count_bound(2, n))) < 1e-9
+    n, _, log_bound, _ = quotient_series(t)
+    assert n.tolist() == list(range(2, 31))
+    for i in (0, 5, 28):
+        assert abs(log_bound[i] - math.log(word_count_bound(2, int(n[i])))) < 1e-9
 
 
 def test_table_is_immutable_and_range_checked():
@@ -250,37 +247,15 @@ def test_rational_fit_rejects_bad_input():
         rational_fit([(2, 0.5), (2, 0.25)])
 
 
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-def test_format_float_is_lossless(x):
-    assert float(format_float(x)) == x
-
-
-def test_quotient_csv_layout():
-    t = log_peri_table(2, 5)
-    text = quotient_csv(t)
-    lines = text.splitlines()
-    assert lines[0] == "n,logP,logBound,quotient"
-    assert len(lines) == 5  # header + n = 2..5
-    n, lv, lb, q = lines[1].split(",")
-    assert n == "2"
-    assert float(lv) == t.log_value(2)
-    assert float(lb) == t.log_bound(2)
-    assert float(q) == quotient(2, 2, t)
-    assert float(q) == 1.0  # equality case: the bound is attained below n = 3
-    assert text.endswith("\n")
-
-
-def test_defect_csv_layout():
-    series = [(1, 0.25), (2, 0.125)]
-    lines = defect_csv(series).splitlines()
-    assert lines[0] == "s,defect"
-    assert lines[1] == "1,0.25"
-    assert lines[2] == "2,0.125"
-
-
 def test_quotient_rows_match_methods():
     t = log_peri_table(3, 10)
-    for n, lv, lb, q in quotient_rows(t):
+    series = quotient_series(t)
+    assert all(a.shape == (9,) for a in series)
+    for n, lv, lb, q in zip(*(a.tolist() for a in series)):
         assert lv == t.log_value(n)
-        assert lb == t.log_bound(n)
+        assert lb == t.log_catalan(n) + n * math.log(9) - math.log(3)
         assert q == quotient(3, n, t)
+    n, _, _, q = quotient_series(t, 7)
+    assert n.tolist() == [7, 8, 9, 10] and q.tolist() == [quotient(3, k, t) for k in range(7, 11)]
+    with pytest.raises(DomainError):
+        quotient_series(t, 1)

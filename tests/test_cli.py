@@ -2,8 +2,11 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pericatalan import asymptotics, cli, enumeration, freewords
 from pericatalan.enumeration import build_table
@@ -97,6 +100,74 @@ def test_table_text_mode(capsys):
     rc, out, _ = run(capsys, "table", "--s-list", "2", "--n-max", "2")
     assert rc == 0
     assert "P=" in out and "12" in out
+
+
+TABLE_ROWS = [(n, s, {2: [0, 2, 12, 120], 0: [0] * 4, 7: [0, 7, 147, 5880]}[s][n]) for n in (1, 2, 3) for s in (2, 0, 7)]
+
+
+def test_table_bytes_every_format(capsys):
+    argv = ("table", "--s-list", "2,0,7", "--n-max", "3")
+    _, text, _ = run(capsys, *argv)
+    assert text.startswith("n=1    s=2    P=   2\nn=1    s=0    P=   0\n")
+    assert text == "".join(f"n={n:<4d} s={s:<4d} P={p:>4}\n" for n, s, p in TABLE_ROWS)
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert csv == "n,s,P\n" + "".join(f"{n},{s},{p}\n" for n, s, p in TABLE_ROWS)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps([{"n": n, "s": s, "P": p} for n, s, p in TABLE_ROWS], indent=2) + "\n"
+
+
+def _quotient_reference(s, n_max):
+    # ln P, ln(3^(n-1) s^n C_n) and quotient() for n = 2 .. n_max
+    t = asymptotics.log_peri_table(s, n_max)
+    return [
+        (n, t.log_value(n), t.log_catalan(n) + n * math.log(3 * s) - math.log(3), asymptotics.quotient(s, n, t))
+        for n in range(2, n_max + 1)
+    ]
+
+
+def test_quotient_bytes_every_format(capsys):
+    rows = _quotient_reference(3, 40)
+    _, csv, _ = run(capsys, "quotient", "--s", "3", "--n-max", "40")
+    assert csv == "n,logP,logBound,quotient\n" + "".join(
+        f"{n},{lv:.17g},{lb:.17g},{q:.17g}\n" for n, lv, lb, q in rows)
+    _, out, _ = run(capsys, "quotient", "--s", "3", "--n-max", "40", "--format", "json")
+    assert out == json.dumps({"s": 3, "rows": [
+        {"n": n, "logP": lv, "logBound": lb, "quotient": q} for n, lv, lb, q in rows]}, indent=2) + "\n"
+    _, text, _ = run(capsys, "quotient", "--s", "3", "--n-max", "40", "--format", "text")
+    assert text.startswith("n=2     logP=3.29584 logBound=3.29584 quotient=1\n")
+    assert text == "".join(
+        f"n={n:<5d} logP={lv:.6g} logBound={lb:.6g} quotient={q:.6g}\n" for n, lv, lb, q in rows)
+
+
+def test_fit_bytes_every_format(capsys):
+    series = asymptotics.defect_series(range(1, 5), 60)
+    fit = asymptotics.rational_fit(series)
+    argv = ("fit", "--s-max", "4", "--proxy-n", "60")
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert csv == "s,defect\n" + "".join(f"{s},{d:.17g}\n" for s, d in series)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps({
+        "proxy_n": 60,
+        "series": [{"s": s, "defect": d} for s, d in series],
+        "fit": {"a": fit.a, "b": fit.b, "residual_stderr": fit.residual_stderr},
+        "ref_a": 0.01929, "ref_b": 0.4811, "golden_log": math.log((1 + math.sqrt(5)) / 2),
+    }, indent=2) + "\n"
+    _, text, _ = run(capsys, *argv)
+    assert text == (
+        "defect(s, n=60) fitted to a / (s - b) over s = 1..4\n"
+        f"a               = {fit.a:.6g}\n"
+        f"  vs 0.01929    : {fit.a - 0.01929:+.6g}\n"
+        f"b               = {fit.b:.6g}\n"
+        f"  vs 0.4811     : {fit.b - 0.4811:+.6g}\n"
+        f"  vs ln((1+sqrt 5)/2) = 0.481212 : {fit.b - math.log((1 + math.sqrt(5)) / 2):+.6g}\n"
+        f"residual stderr = {fit.residual_stderr:.6g}\n"
+    )
+
+
+@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+def test_format_float_is_lossless(x):
+    # a float cell of CSV output reads back as the same double
+    assert float(cli._render("csv", ("x",), [(x,)]).splitlines()[1]) == x
 
 
 def test_oracle_sweep(capsys):
@@ -366,3 +437,35 @@ def test_unread_flag_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+BIG_S = 10**200  # P(BIG_S, 22) has over 4300 digits; its cache file name stays short
+
+
+def test_big_integers_in_process(capsys, tmp_path, int_digit_limit):
+    p = enumeration.peri_catalan(BIG_S, 22)
+    argv = ("compute", "--s", str(BIG_S), "--n", "22", "--cache-dir", str(tmp_path))
+    results = [run(capsys, *argv), run(capsys, *argv)]  # the second reads the cache
+    table = ("table", "--s-list", str(BIG_S), "--n-max", "22")
+    results += [run(capsys, *table, "--format", fmt) for fmt in ("text", "csv", "json")]
+    assert [rc for rc, _, _ in results] == [0] * 5
+    assert sys.get_int_max_str_digits() == int_digit_limit  # the caller's limit is back
+    sys.set_int_max_str_digits(0)
+    want = str(p)
+    assert len(want) > int_digit_limit
+    (_, first, _), (_, second, _), (_, text, _), (_, csv, _), (_, out, _) = results
+    assert first == second == want + "\n"
+    assert text.splitlines()[-1] == f"n=22   s={BIG_S} P={want}"
+    assert csv.splitlines()[-1] == f"22,{BIG_S},{want}"
+    assert json.loads(out)[-1] == {"n": 22, "s": BIG_S, "P": p}
+
+
+def test_big_integers_in_a_fresh_process(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "4300"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pericatalan.cli", "compute", "--s", str(BIG_S), "--n", "22", "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert len(proc.stdout) > 4300 and proc.stdout.rstrip("\n").isdigit()

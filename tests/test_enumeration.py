@@ -1,5 +1,7 @@
 import hashlib
 import os
+import stat
+import sys
 from math import comb
 
 import pytest
@@ -411,3 +413,55 @@ def test_cache_unreadable_is_cache_error(tmp_path):
     path.mkdir()  # a directory where the file should be
     with pytest.raises(CacheError):
         build_table(2, 4, str(d))
+
+
+@pytest.mark.parametrize("body, match", [
+    ("1 2\n2 12\n3 12\u00e9\n".encode("utf-8"), "non-ASCII"),
+    (b"1 2\n2 12 0\n", "expected '<n> <value>'"),
+    (b"1 2\n2 0x0c\n", "non-integer field"),
+    (b"", "no entries"),
+    (b"1 1\n2 12\n", r"P\(s,1\)=1 != s=2"),
+], ids=["non-ascii", "malformed-line", "non-integer", "no-entries", "first-value"])
+def test_cache_signed_body_refused(tmp_path, body, match):
+    # each body carries a correct digest, so only the per-line checks stand
+    digest = hashlib.sha256(body).hexdigest()
+    _cache_file(tmp_path, 2).write_bytes(f"{CACHE_MAGIC} s=2 sha256={digest}\n".encode() + body)
+    with pytest.raises(CacheIntegrityError, match=match):
+        build_table(2, 4, str(tmp_path))
+
+
+def test_cache_save_failure_is_cache_error(tmp_path):
+    with pytest.raises(CacheError, match="cannot write cache"):
+        build_table(2, 4, str(tmp_path / "missing"))
+
+
+def test_cache_past_int_digit_limit_is_cache_error(tmp_path, int_digit_limit):
+    # P(10^200, 22) has over 4300 digits: the library leaves the limit as
+    # it finds it and reports the cache it cannot write or read.
+    s = 10**200
+    with pytest.raises(CacheError, match="limit"):
+        build_table(s, 22, str(tmp_path))
+    assert not list(tmp_path.iterdir())
+    sys.set_int_max_str_digits(0)
+    build_table(s, 22, str(tmp_path))
+    sys.set_int_max_str_digits(int_digit_limit)
+    with pytest.raises(CacheError, match="limit"):
+        build_table(s, 22, str(tmp_path))
+
+
+def test_write_atomic_never_sets_the_umask(tmp_path, monkeypatch):
+    # the kernel applies the umask when the temp file is created; setting
+    # it, even for a moment, would change it for every thread
+    def umask(mask):
+        raise AssertionError("write_atomic set the process umask")
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", umask)
+            enumeration.write_atomic(str(tmp_path / "f.txt"), "x\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "f.txt").read_text() == "x\n"
+    assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == 0o640
+    assert not list(tmp_path.glob(".pcat-*"))

@@ -286,11 +286,17 @@ def test_parse_generator_bound():
         ("(a*b))", "position 6"),
         ("((a*b)\\\\c)", "position 8"),
         ("(a@b)", "position 3"),
+        ("(b*a\u00b2)", "position 4"),
     ],
 )
 def test_parse_errors_carry_position(text, where):
     with pytest.raises(WordSyntaxError, match=where):
         fw.parse_word(text)
+
+
+def test_parse_index_past_int_digit_limit(int_digit_limit):
+    with pytest.raises(WordSyntaxError, match="position 1"):
+        fw.parse_word("a" + "1" * 5000)
 
 
 def _basic_trees(max_s=3):

@@ -55,6 +55,7 @@ def test_bench_save_aggregates_stubbed_runs(tmp_path, monkeypatch):
     assert bench_save.main(argv, runner=runner) == 0
     workloads = ["exact_table", "log_growth", "oracle_sweep", "cache_cli"]
     assert calls == [(w, s, 0) for w in workloads for s in (1, 2, 4, 8)]
+    assert [f.name for f in tmp_path.iterdir()] == ["BENCH_t.json"]  # no .pcat-* temp litter
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["tag"] == "t" and report["seeds"] == [1, 2, 4, 8] and report["run_seconds"] == 25
     assert report["machine"] == {"cpus": 2} and "commit" in report and "dirty" in report
