@@ -79,30 +79,16 @@ class LogTable:
             raise DomainError(f"n={n} outside table range 1..{self.n_max}")
         return float(self.catalan_values[n])
 
-    __getitem__ = log_value
-
 
 @dataclass(frozen=True)
 class RhoMemo:
     """Cancelation ratios rho(a, b) on canonical pairs a >= b >= 1 with
     a + b <= n_max, packed by pair sum: row d holds rho(a, d - a) for
-    a = ceil(d/2) .. d-1 and starts at grid[(d-1)^2 // 4]."""
+    a = ceil(d/2) .. d-1 and starts at grid[(d-1)^2 // 4], so rho(a, b)
+    is grid[(d-1)^2 // 4 + a - ceil(d/2)] with d = a + b."""
 
     n_max: int
     grid: np.ndarray
-
-    def value(self, a: int, b: int) -> float:
-        hi, lo = (a, b) if a >= b else (b, a)
-        if lo < 1 or hi + lo > self.n_max:
-            raise DomainError(f"rho({a}, {b}) outside computed range (pair sum <= {self.n_max})")
-        d = hi + lo
-        return float(self.grid[(d - 1) ** 2 // 4 + hi - (d + 1) // 2])
-
-    def items(self):
-        for d in range(2, self.n_max + 1):
-            start = (d - 1) ** 2 // 4
-            for hi, v in enumerate(self.grid[start:start + d // 2].tolist(), start=(d + 1) // 2):
-                yield (hi, d - hi), v
 
 
 def log_peri_table(s: int, n_max: int, with_rho: bool = False):

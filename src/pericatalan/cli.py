@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--rooted", type=_int_pair, default=None, metavar="A,B", help="check the six rooted counts at split A,B")
-    p.add_argument("--budget", type=int, default=None, help="candidate-tree budget override")
-    p.add_argument("--max-length", type=int, default=None, help="hard word-length limit override")
+    p.add_argument("--budget", type=int, default=freewords.ENUM_BUDGET, help="candidate-tree budget")
+    p.add_argument("--max-length", type=int, default=freewords.MAX_ENUM_LENGTH, help="hard word-length limit")
     output(p)
 
     p = sub.add_parser("quotient", help="normalized growth quotient series")
@@ -136,12 +136,12 @@ def _check_exact_ceiling(args, n):
 
 
 def cmd_compute(args) -> int:
+    if args.s < 0 or args.n < 0:
+        raise DomainError(f"compute needs s >= 0 and n >= 0, got s={args.s} n={args.n}")
     if args.s == 0 or args.n == 0:
         _note(f"degenerate input s={args.s} n={args.n}: no such words, count is 0")
         _emit(args.out, "0\n")
         return EXIT_OK
-    if args.s < 1 or args.n < 1:
-        raise DomainError(f"compute needs s >= 1 and n >= 1, got s={args.s} n={args.n}")
     if args.mode == "exact":
         _check_exact_ceiling(args, args.n)
         _emit(args.out, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n")
@@ -152,8 +152,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if not args.s_list:
-        raise DomainError("table needs a nonempty --s-list")
     if args.n_max < 1:
         raise DomainError(f"table needs n_max >= 1, got {args.n_max}")
     if any(s < 0 for s in args.s_list):
@@ -180,17 +178,13 @@ def cmd_table(args) -> int:
 def cmd_oracle(args) -> int:
     if args.s < 1:
         raise DomainError(f"oracle needs s >= 1, got {args.s}")
-    kwargs = {}
-    if args.max_length is not None:
-        kwargs["max_length"] = args.max_length
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
     lines = []
     ok = True
     if args.rooted is not None:
         a, b = args.rooted
         # The oracle's guards refuse a large split before the formula runs.
-        counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op, **kwargs)) for op in freewords.ALL_OPS]
+        counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op, max_length=args.max_length, budget=args.budget))
+                  for op in freewords.ALL_OPS]
         expected = enumeration.aux_bivariate(args.s, a, b)
         for op, got in counts:
             match = got == expected
@@ -201,7 +195,7 @@ def cmd_oracle(args) -> int:
             raise DomainError(f"oracle needs --n, or --n-max >= 1 (got n_max={args.n_max})")
         ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
         for n in ns:
-            got = freewords.count_reduced(args.s, n, **kwargs)
+            got = freewords.count_reduced(args.s, n, max_length=args.max_length, budget=args.budget)
             expected = enumeration.peri_catalan(args.s, n)
             match = got == expected
             ok = ok and match

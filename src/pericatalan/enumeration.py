@@ -7,9 +7,10 @@ are kept side by side:
 * peri_catalan: the closed form.  Each (n, k) block is a signed sum of
   products P(s, i) * P(s, j) whose indices and signs come straight from
   the division-algorithm trace of (n, k).  The trace is walked inline
-  with divmod, and each step's common factor P(s, r_cur) is taken out of
-  its alternating sum, so a step costs one bigint product.  Each block
-  is asserted nonnegative.
+  with divmod from the canonical pair, (n - k, k) or (k, n - k), so
+  block k and block n - k are the same walk.  Each step's common factor
+  P(s, r_cur) is taken out of its alternating sum, so a step costs one
+  bigint product.  Each block is asserted nonnegative.
 * peri_catalan_recursive: bootstraps the same numbers through the
   auxiliary bivariate count m(a, b) = P_a P_b - m(a - b, b), m(a, b) = 0
   whenever a <= 0 or b <= 0, which subtracts the words lost to root
@@ -22,7 +23,8 @@ are kept side by side:
 The two routes share no code below the P_0/P_1 base cases, so agreement
 between them is a real consistency check, exercised in the test suite.
 
-All arithmetic is exact (Python integers).  build_table adds an opt-in
+All arithmetic is exact (Python integers).  build_table is the one
+place a column grows, and peri_catalan reads it.  It adds an opt-in
 plain-text cache, one file per s, so repeated runs extend rather than
 recompute.  Its header carries a sha256 digest of the body, so a changed
 digit is refused, not served.
@@ -73,21 +75,14 @@ def word_count_bound(s: int, n: int) -> int:
 
 def _closed_form_value(s: int, n: int, p: list) -> int:
     # n >= 2, and p[j] must hold P(s, j) for 1 <= j < n.  Block k walks
-    # the division algorithm on (n, k) inline: a step (r_prev, r_cur) with
-    # quotient q adds the terms +-p[r_prev - j r_cur] p[r_cur], j < q,
-    # signed by (-1)^(eps + j), so p[r_cur] is factored out and the step
-    # costs one product with an alternating sum.  The first step, (n, k)
-    # with eps_0 = 1, starts at j = 1; later steps start at j = 0.
+    # the division algorithm inline from its canonical pair (see euclid):
+    # a step (a, b) with quotient q adds +-p[a - j b] p[b], j < q, signed
+    # by (-1)^(eps + j), first sign plus, so p[b] is factored out and the
+    # step costs one product with an alternating sum.
     total = 0
     for k in range(1, n):
-        q, r = divmod(n, k)
-        if q == 1:
-            block = 0
-        else:
-            terms = p[n - k:r:-k]  # p[n - j k] for j = 1 .. q - 1
-            block = (sum(terms[::2]) - sum(terms[1::2])) * p[k]
-        # the next step's j = 0 term has sign (-1)^eps_1, eps_1 = 1 + q
-        a, b, plus = k, r, q & 1
+        a, b = (n - k, k) if 2 * k <= n else (k, n - k)
+        block, plus = 0, True
         while b:
             q, r = divmod(a, b)
             if q == 1:
@@ -114,9 +109,7 @@ def peri_catalan(s: int, n: int) -> int:
         raise DomainError(f"peri_catalan needs s >= 1 and n >= 0, got s={s} n={n}")
     if n == 0:
         return 0
-    values = [0, s]
-    _extend_values(s, values, n)
-    return values[n]
+    return build_table(s, n).values[n]
 
 
 def _triangle_bytes(s: int, n: int) -> int:
@@ -205,11 +198,6 @@ class PeriTable:
         return self.values[n]
 
 
-def _extend_values(s: int, values: list, n_max: int) -> None:
-    while len(values) <= n_max:
-        values.append(_closed_form_value(s, len(values), values))
-
-
 def write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory and
     os.replace, so a reader sees the old file or the new one, never a
@@ -260,7 +248,9 @@ def _load_cache(path: str, s: int) -> list | None:
             raise CacheIntegrityError(f"{path}:{lineno}: expected '<n> <value>'")
         try:
             n, v = int(parts[0]), int(parts[1])
-        except ValueError as e:  # also a value past sys.get_int_max_str_digits()
+        except ValueError as e:
+            if parts[0].isdigit() and parts[1].isdigit():  # intact, but past sys.get_int_max_str_digits()
+                raise CacheError(f"{path}:{lineno}: value past Python's int digit limit: {e}") from e
             raise CacheIntegrityError(f"{path}:{lineno}: non-integer field: {e}") from e
         if n != len(values):
             raise CacheIntegrityError(f"{path}:{lineno}: expected n={len(values)}, got {n}")
@@ -295,16 +285,14 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     to n_max and the file rewritten as v2."""
     if s < 1 or n_max < 1:
         raise DomainError(f"build_table needs s >= 1 and n_max >= 1, got s={s} n_max={n_max}")
-    if cache_dir is None:
-        values = [0, s]
-        _extend_values(s, values, n_max)
-        return PeriTable(s=s, values=values)
-    path = _cache_path(cache_dir, s)
-    values = _load_cache(path, s)
+    path = None if cache_dir is None else _cache_path(cache_dir, s)
+    values = None if path is None else _load_cache(path, s)
     if values is None:
         values = [0, s]
-    elif len(values) - 1 >= n_max:
+    elif len(values) > n_max:
         return PeriTable(s=s, values=values[: n_max + 1])
-    _extend_values(s, values, n_max)
-    _save_cache(path, s, values)
+    while len(values) <= n_max:
+        values.append(_closed_form_value(s, len(values), values))
+    if path is not None:
+        _save_cache(path, s, values)
     return PeriTable(s=s, values=values)

@@ -63,8 +63,8 @@ def _compose(a, b):
 class OpSymbol:
     """One of the six operation symbols; module-level singletons.
 
-    perm is the S3 tag; composition of symbols composes tags.  opposite
-    and cancel hold the prewired sigma- and tau-translates.
+    perm is the S3 tag, composed with _compose.  opposite and cancel hold
+    the prewired sigma- and tau-translates.
     """
 
     __slots__ = ("perm", "name", "glyph", "is_basic", "opposite", "cancel")
@@ -76,11 +76,6 @@ class OpSymbol:
         self.is_basic = False
         self.opposite = None
         self.cancel = None
-
-    def __mul__(self, other):
-        if not isinstance(other, OpSymbol):
-            return NotImplemented
-        return _OP_BY_PERM[_compose(self.perm, other.perm)]
 
     def __repr__(self):
         return f"<op {self.name}>"
@@ -108,12 +103,6 @@ def leaf_count(w) -> int:
     if type(w) is int:
         return 1
     return leaf_count(w[1]) + leaf_count(w[2])
-
-
-def is_basic_tree(w) -> bool:
-    if type(w) is int:
-        return True
-    return w[0].is_basic and is_basic_tree(w[1]) and is_basic_tree(w[2])
 
 
 def _guard_enum(s, n, max_length, budget):

@@ -53,6 +53,13 @@ def test_compute_domain_error(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_compute_negative_input_is_not_degenerate(capsys):
+    # a negative s or n is refused as table refuses it, never served as 0
+    for s, n in (("-3", "0"), ("0", "-5")):
+        rc, out, err = run(capsys, "compute", "--s", s, "--n", n)
+        assert rc == 2 and out == "" and "error" in err and "degenerate" not in err
+
+
 def test_exact_ceiling_guard(capsys):
     rc, _, err = run(capsys, "compute", "--s", "1", "--n", "3001")
     assert rc == 4 and "--force-exact" in err

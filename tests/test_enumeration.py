@@ -215,6 +215,15 @@ def test_trace_blocks_are_aux_values(s):
         assert _closed_form_value(s, n, p) == 3 * sum(blocks) == p[n]
 
 
+def test_trace_blocks_are_symmetric_in_k():
+    # block(n, k) = block(n, n - k) term by term, so it holds for any p:
+    # the closed form walks both from the same canonical pair.
+    p = [0] + [7**j + j for j in range(1, 60)]
+    for n in range(2, 61):
+        blocks = [_trace_block(p, n, k) for k in range(1, n)]
+        assert blocks == blocks[::-1], n
+
+
 def test_negative_block_names_its_k():
     # block(n, k) = block(n, n - k), so a doctored block can first show
     # at k <= n/2.  With P_2 huge, k = 1 .. 3 of n = 9 stay nonnegative
@@ -445,8 +454,9 @@ def test_cache_past_int_digit_limit_is_cache_error(tmp_path, int_digit_limit):
     sys.set_int_max_str_digits(0)
     build_table(s, 22, str(tmp_path))
     sys.set_int_max_str_digits(int_digit_limit)
-    with pytest.raises(CacheError, match="limit"):
+    with pytest.raises(CacheError, match="limit") as read:
         build_table(s, 22, str(tmp_path))
+    assert not isinstance(read.value, CacheIntegrityError)  # the file is intact
 
 
 def test_write_atomic_never_sets_the_umask(tmp_path, monkeypatch):
