@@ -2,6 +2,7 @@
 """Save one point of the benchmark trajectory as BENCH_<tag>.json.
 
     python3 scripts/bench_save.py --tag mytag --seeds 1-5
+    python3 scripts/bench_save.py --tag mytag --against HEAD~1 --pairs 10 [--workloads a,b]
 
 Runs the benchmark command of BENCHMARK.json (perfbench/run.py) once per
 seed and workload listed there, one run at a time, with the run length
@@ -13,14 +14,33 @@ seeds, the run length, the machine and the commit measured (`git
 rev-parse HEAD`, and whether tracked files had uncommitted changes).  A
 run that exits nonzero stops the script before anything is written, and
 the file is replaced atomically, so it is never left half written.
+
+--against REV measures the working tree against REV in alternating
+pairs instead.  REV is checked out with `git worktree add --detach` into
+a temporary directory outside the repository, which is removed however
+the script ends; if perfbench/ or BENCHMARK.json differ between the two
+trees the script exits 2 before any run, since both sides must run one
+benchmark.  Each tree runs its own perfbench/run.py with itself as the
+working directory, so each imports its own src/.  Pair i of a workload
+runs both sides on one seed, derived from the tag, the parent first when
+i is even and the change first when i is odd.  Per workload the file
+holds every pair, each side's summary as above and, per end-to-end
+metric, the median paired ratio change/parent, the pairs the change won
+(ties count for neither side), the parent's quartile spread as a share
+of its median, "unresolved" when that spread exceeds the metric's bound
+and "gain" when the change won at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's quartile distance.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+from hashlib import sha256
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -63,19 +83,141 @@ def commit() -> dict:
     return {"commit": head, "dirty": bool(status) if status is not None else None}
 
 
-def main(argv=None, runner=spread.run_once) -> int:
+def run_in(tree: str, spec: dict, workload: str, seed: int) -> dict:
+    """One untraced run of tree's own benchmark command, from tree."""
+    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=180)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tag_seeds(tag: str, k: int) -> list[int]:
+    # Past the small seeds of earlier hand-run pairs, and fixed by the tag.
+    base = 10_000 + int.from_bytes(sha256(tag.encode()).digest()[:3], "big")
+    return list(range(base, base + k))
+
+
+def bench_files(tree: str) -> dict:
+    """BENCHMARK.json and every file under perfbench/ but bytecode, by path."""
+    files = {}
+    paths = [os.path.join(tree, "BENCHMARK.json")]
+    for dirpath, dirnames, filenames in os.walk(os.path.join(tree, "perfbench")):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        paths += [os.path.join(dirpath, name) for name in filenames]
+    for path in paths:
+        with open(path, "rb") as fh:
+            files[os.path.relpath(path, tree)] = fh.read()
+    return files
+
+
+def compare(parent: list, change: list, metrics: list) -> dict:
+    """Per metric, the pair statistics of change against parent runs, in pair order."""
+    rows = {}
+    for m in metrics:
+        old = [r["metrics"][m["name"]]["value"] for r in parent]
+        new = [r["metrics"][m["name"]]["value"] for r in change]
+        sign = 1 if m["better"] == "lower" else -1
+        base, now = summarize(old), summarize(new)
+        spread = (base["q3"] - base["q1"]) / base["median"] if base["median"] else 0.0
+        wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
+        rows[m["name"]] = {
+            "median_ratio": statistics.median(b / a for a, b in zip(old, new)),
+            "wins": wins,
+            "pairs": len(old),
+            "parent_spread": spread,
+            "bound": m["bound"],
+            "unresolved": spread > m["bound"],
+            "gain": 10 * wins >= 9 * len(old) and sign * (base["median"] - now["median"]) > base["q3"] - base["q1"],
+        }
+    return rows
+
+
+def paired(args, spec: dict, workloads: list, runner) -> int:
+    workdir = tempfile.mkdtemp(prefix="pcat-bench-")
+    tree = os.path.join(workdir, "parent")
+    try:
+        proc = subprocess.run(["git", "worktree", "add", "--detach", tree, args.against],
+                              cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"error: cannot check out {args.against}: {proc.stderr.strip()}", file=sys.stderr)
+            return 2
+        if bench_files(tree) != bench_files(ROOT):
+            print(f"error: perfbench/ or BENCHMARK.json differ between {args.against} and the working tree",
+                  file=sys.stderr)
+            return 2
+        against = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True).stdout.strip()
+        trees = {"parent": tree, "change": ROOT}
+        seeds = tag_seeds(args.tag, args.pairs)
+        report_workloads = {}
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(runner(trees[side], spec, workload, seed))
+                pair = {side: {name: v["value"] for name, v in runs[side][-1]["metrics"].items()} for side in runs}
+                pairs.append({"seed": seed, "first": order[0], **pair})
+                print(f"{workload} seed {seed} ({order[0]} first): wall_s "
+                      f"{pair['parent']['wall_s']} -> {pair['change']['wall_s']}", flush=True)
+            report_workloads[workload] = {
+                **{side: aggregate({workload: runs[side]}, spec["end_to_end"])[workload] for side in runs},
+                "compare": compare(runs["parent"], runs["change"], spec["end_to_end"]),
+                "pairs": pairs,
+            }
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, capture_output=True)
+        shutil.rmtree(workdir, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    report = {
+        "tag": args.tag,
+        **commit(),
+        "against": {"rev": args.against, "commit": against},
+        "machine": spread.machine(),
+        "seeds": seeds,
+        "run_seconds": spec["run_seconds"],
+        "workloads": report_workloads,
+    }
+    write_report(args, report)
+    return 0
+
+
+def write_report(args, report: dict) -> None:
+    path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
+    write_atomic(path, json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path}")
+
+
+def main(argv=None, runner=spread.run_once, paired_runner=run_in) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--seeds", type=spread.seeds, default=spread.seeds("1-5"))
+    parser.add_argument("--seeds", type=spread.seeds, default=None)
+    parser.add_argument("--against", default=None)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--out-dir", default=ROOT)
     args = parser.parse_args(argv)
+    workloads = args.workloads.split(",")
+    unknown = [w for w in workloads if w not in names]
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; choose from {names}")
+    if args.against is not None:
+        if args.seeds is not None:
+            parser.error("--seeds is for sequential runs; --against derives its seeds from --tag")
+        if args.pairs < 1:
+            parser.error(f"--pairs must be at least 1, got {args.pairs}")
+        return paired(args, spec, workloads, paired_runner)
+    seeds = args.seeds if args.seeds is not None else spread.seeds("1-5")
 
     results = {}
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         results[workload] = []
-        for seed in args.seeds:
+        for seed in seeds:
             result = runner(spec, workload, seed, 0)
             results[workload].append(result)
             print(f"{workload} seed {seed}: failed {result['failed']} of {result['attempted']}", flush=True)
@@ -83,13 +225,11 @@ def main(argv=None, runner=spread.run_once) -> int:
         "tag": args.tag,
         **commit(),
         "machine": spread.machine(),
-        "seeds": args.seeds,
+        "seeds": seeds,
         "run_seconds": spec["run_seconds"],
         "workloads": aggregate(results, spec["end_to_end"]),
     }
-    path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    write_atomic(path, json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}")
+    write_report(args, report)
     return 0
 
 

@@ -7,10 +7,12 @@ are kept side by side:
 * peri_catalan: the closed form.  Each (n, k) block is a signed sum of
   products P(s, i) * P(s, j) whose indices and signs come straight from
   the division-algorithm trace of (n, k).  The trace is walked inline
-  with divmod from the canonical pair, (n - k, k) or (k, n - k), so
-  block k and block n - k are the same walk.  Each step's common factor
-  P(s, r_cur) is taken out of its alternating sum, so a step costs one
-  bigint product.  Each block is asserted nonnegative.
+  with divmod from the canonical pair (n - k, k), and block n - k is the
+  same walk, so only k <= n/2 is walked: P(s, n) = 3 * (2 * off + diag),
+  with diag the block k = n/2 of an even n, the halved sum of the
+  recursion below.  Each step's common factor P(s, r_cur) is taken out
+  of its alternating sum, so a step costs one bigint product.  Each
+  walked block is asserted nonnegative.
 * peri_catalan_recursive: bootstraps the same numbers through the
   auxiliary bivariate count m(a, b) = P_a P_b - m(a - b, b), m(a, b) = 0
   whenever a <= 0 or b <= 0, which subtracts the words lost to root
@@ -75,13 +77,15 @@ def word_count_bound(s: int, n: int) -> int:
 
 def _closed_form_value(s: int, n: int, p: list) -> int:
     # n >= 2, and p[j] must hold P(s, j) for 1 <= j < n.  Block k walks
-    # the division algorithm inline from its canonical pair (see euclid):
-    # a step (a, b) with quotient q adds +-p[a - j b] p[b], j < q, signed
-    # by (-1)^(eps + j), first sign plus, so p[b] is factored out and the
-    # step costs one product with an alternating sum.
-    total = 0
-    for k in range(1, n):
-        a, b = (n - k, k) if 2 * k <= n else (k, n - k)
+    # the division algorithm inline from its canonical pair (n - k, k)
+    # (see euclid): a step (a, b) with quotient q adds +-p[a - j b] p[b],
+    # j < q, signed by (-1)^(eps + j), first sign plus, so p[b] is
+    # factored out and the step costs one product with an alternating
+    # sum.  Block n - k is the same walk, so only k <= n/2 is walked and
+    # each off-diagonal block weighs 2, as in _fill.
+    off = diag = 0
+    for k in range(1, n // 2 + 1):
+        a, b = n - k, k
         block, plus = 0, True
         while b:
             q, r = divmod(a, b)
@@ -99,8 +103,11 @@ def _closed_form_value(s: int, n: int, p: list) -> int:
             a, b = b, r
         if block < 0:
             raise AssertionError(f"negative block at s={s} n={n} k={k}: {block}")
-        total += block
-    return 3 * total
+        if 2 * k == n:
+            diag = block
+        else:
+            off += block
+    return 3 * (2 * off + diag)
 
 
 def peri_catalan(s: int, n: int) -> int:

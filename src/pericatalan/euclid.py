@@ -4,9 +4,10 @@ The closed-form word count is a signed sum over, for every pair (n, k)
 with 1 <= k < n, the full run of the division algorithm on (n, k), with
 the partial quotient sums driving the alternating signs.  The first
 step, from j = 1 with eps_0 = 1, is the step on (n - k, k) from j = 0 and
-is empty when 2k > n, so enumeration._closed_form_value walks each run
-from its canonical pair, (n - k, k) or (k, n - k): block k equals block
-n - k.  A trace here is the tested reference for that walk, term by term.
+is empty when 2k > n, so block k equals block n - k.  Hence
+enumeration._closed_form_value walks only k <= n/2, each run from
+(n - k, k), and weights the blocks off the diagonal 2k = n by 2.  A
+trace here is the tested reference for that walk, term by term.
 Indexing convention: remainders r_{-1} = n, r_0 = k, ..., r_L = gcd(n, k),
 r_{L+1} = 0, with r_{l-2} = q_l * r_{l-1} + r_l for l = 1 .. L+1.
 """

@@ -224,6 +224,15 @@ def test_trace_blocks_are_symmetric_in_k():
         assert blocks == blocks[::-1], n
 
 
+@pytest.mark.parametrize("p", [[0] + [7**j + j for j in range(1, 60)], [0] + [3**j for j in range(1, 60)]])
+def test_half_walk_equals_full_trace_sum(p):
+    # The closed form walks k <= n/2 and weighs off-diagonal blocks 2;
+    # that is 3 times the sum of every trace block, for any p and apart
+    # from the recursion: n = 2 is the diagonal alone, n = 3 has none.
+    for n in range(2, 61):
+        assert _closed_form_value(1, n, p) == 3 * sum(_trace_block(p, n, k) for k in range(1, n)), n
+
+
 def test_negative_block_names_its_k():
     # block(n, k) = block(n, n - k), so a doctored block can first show
     # at k <= n/2.  With P_2 huge, k = 1 .. 3 of n = 9 stay nonnegative

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
@@ -71,3 +73,127 @@ def test_bench_save_aggregates_stubbed_runs(tmp_path, monkeypatch):
 def test_bench_save_single_run_quartiles():
     bench_save = _load_bench_save()
     assert bench_save.summarize([0.7]) == {"median": 0.7, "q1": 0.7, "q3": 0.7, "runs": 1}
+
+
+def _read_text(*parts):
+    with open(os.path.join(*parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def _paired_repo(tmp_path, bench_change=False):
+    # A two-commit repository whose commits differ in src/, and in
+    # perfbench/ too when bench_change.
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src").mkdir()
+    (repo / "BENCHMARK.json").write_text(_read_text(os.path.dirname(__file__), "..", "BENCHMARK.json"))
+    (repo / "perfbench" / "run.py").write_text("# stub\n")
+    (repo / "src" / "code.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "src" / "code.py").write_text("x = 2\n")
+    if bench_change:
+        (repo / "perfbench" / "run.py").write_text("# stub, changed\n")
+    _git(repo, "commit", "-q", "-am", "change")
+    return repo
+
+
+def _paired_setup(tmp_path, monkeypatch, bench_change=False):
+    bench_save = _load_bench_save()
+    repo = _paired_repo(tmp_path, bench_change)
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(bench_save, "ROOT", str(repo))
+    monkeypatch.setattr(bench_save.tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(bench_save.spread, "machine", lambda: {"cpus": 2})
+    return bench_save, repo, temp
+
+
+def _worktrees(repo):
+    out = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo, capture_output=True, text=True).stdout
+    return [line for line in out.splitlines() if line.startswith("worktree ")]
+
+
+def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
+    # The runner is stubbed: the benchmark itself never runs here.
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+    calls = []
+
+    def runner(tree, spec, workload, seed):
+        side = "change" if tree == str(repo) else "parent"
+        assert _read_text(tree, "src", "code.py") == ("x = 2\n" if side == "change" else "x = 1\n")
+        calls.append((side, workload, seed))
+        i = sum(1 for c in calls if c[:2] == (side, workload)) - 1
+        wall = [2.0, 2.2, 2.4][i] / (2 if side == "change" else 1)
+        values = {"setup_s": [1.0, 2.0, 3.0][i], "wall_s": wall, "cpu_s": wall,
+                  "peak_rss_mb": 41.0 if side == "change" else 40.0}
+        metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in spec["end_to_end"]}
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "3", "--workloads", "exact_table,log_growth",
+            "--out-dir", str(out)]
+    assert bench_save.main(argv, paired_runner=runner) == 0
+    seeds = bench_save.tag_seeds("t", 3)
+    assert seeds == list(range(seeds[0], seeds[0] + 3)) and seeds[0] >= 10_000
+    order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(side, w, seed) for w in ("exact_table", "log_growth")
+                     for seed, sides in zip(seeds, order) for side in sides]
+    assert [f.name for f in out.iterdir()] == ["BENCH_t.json"]  # no .pcat-* temp litter
+    report = json.loads((out / "BENCH_t.json").read_text())
+    parent = subprocess.run(["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True).stdout.strip()
+    assert report["against"] == {"rev": "HEAD~1", "commit": parent} and report["seeds"] == seeds
+    assert list(report["workloads"]) == ["exact_table", "log_growth"]
+    exact = report["workloads"]["exact_table"]
+    assert [p["first"] for p in exact["pairs"]] == ["parent", "change", "parent"]
+    assert exact["pairs"][1]["parent"]["wall_s"] == 2.2 and exact["pairs"][1]["change"]["wall_s"] == 1.1
+    assert exact["parent"]["metrics"]["wall_s"] == {"median": 2.2, "q1": 2.0, "q3": 2.4, "runs": 3, "unit": "s"}
+    assert exact["change"]["metrics"]["wall_s"]["median"] == 1.1
+    assert exact["change"]["attempted"] == 15 and exact["change"]["correct"]
+    wall, setup, rss = (exact["compare"][m] for m in ("wall_s", "setup_s", "peak_rss_mb"))
+    assert (wall["median_ratio"], wall["wins"], wall["pairs"], wall["unresolved"], wall["gain"]) == (0.5, 3, 3, False, True)
+    assert abs(wall["parent_spread"] - 0.4 / 2.2) < 1e-12 and wall["bound"] == 0.25
+    # setup_s spreads 1..3 around 2 on the parent: past its bound, and ties win nothing
+    assert (setup["median_ratio"], setup["wins"], setup["unresolved"], setup["gain"]) == (1.0, 0, True, False)
+    assert (rss["median_ratio"], rss["wins"], rss["unresolved"], rss["gain"]) == (41.0 / 40.0, 0, False, False)
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+    assert not [p for p in repo.rglob(".pcat-*")]
+
+
+def test_bench_save_pairs_refuse_a_changed_benchmark(tmp_path, monkeypatch, capsys):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch, bench_change=True)
+
+    def runner(*args):
+        raise AssertionError("no run may start when the benchmarks differ")
+
+    argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--out-dir", str(tmp_path)]
+    assert bench_save.main(argv, paired_runner=runner) == 2
+    assert "perfbench/ or BENCHMARK.json differ" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+
+
+def test_bench_save_pairs_remove_the_worktree_when_a_run_fails(tmp_path, monkeypatch):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+
+    def runner(tree, spec, workload, seed):
+        raise RuntimeError(f"{workload} seed {seed} exited 1")
+
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_save.main(["--tag", "t", "--against", "HEAD~1", "--out-dir", str(tmp_path)], paired_runner=runner)
+    assert not (tmp_path / "BENCH_t.json").exists()
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+
+
+def test_bench_save_pairs_bad_rev_exits_two(tmp_path, monkeypatch, capsys):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+    assert bench_save.main(["--tag", "t", "--against", "no-such-rev", "--out-dir", str(tmp_path)]) == 2
+    assert "cannot check out no-such-rev" in capsys.readouterr().err
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
