@@ -135,6 +135,7 @@ def compare(parent: list, change: list, metrics: list) -> dict:
 
 
 def paired(args, spec: dict, workloads: list, runner) -> int:
+    measured = commit()  # before the runs, which may outlast edits to the tree
     workdir = tempfile.mkdtemp(prefix="pcat-bench-")
     tree = os.path.join(workdir, "parent")
     try:
@@ -173,7 +174,7 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     report = {
         "tag": args.tag,
-        **commit(),
+        **measured,
         "against": {"rev": args.against, "commit": against},
         "machine": spread.machine(),
         "seeds": seeds,
