@@ -169,9 +169,8 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
                 "pairs": pairs,
             }
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, capture_output=True)
         shutil.rmtree(workdir, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)  # drops REV's worktree entry
     report = {
         "tag": args.tag,
         **measured,

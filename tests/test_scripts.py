@@ -81,8 +81,8 @@ def _read_text(*parts):
 
 
 def _git(cwd, *args):
-    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
-                   cwd=cwd, check=True, capture_output=True)
+    config = ["-c", "user.name=t", "-c", "user.email=t@example.org", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", *config, *args], cwd=cwd, check=True, capture_output=True)
 
 
 def _paired_repo(tmp_path, bench_change=False):
@@ -163,7 +163,7 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     # setup_s spreads 1..3 around 2 on the parent: past its bound, and ties win nothing
     assert (setup["median_ratio"], setup["wins"], setup["unresolved"], setup["gain"]) == (1.0, 0, True, False)
     assert (rss["median_ratio"], rss["wins"], rss["unresolved"], rss["gain"]) == (41.0 / 40.0, 0, False, False)
-    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
     assert not [p for p in repo.rglob(".pcat-*")]
 
 
@@ -177,7 +177,7 @@ def test_bench_save_pairs_refuse_a_changed_benchmark(tmp_path, monkeypatch, caps
     assert bench_save.main(argv, paired_runner=runner) == 2
     assert "perfbench/ or BENCHMARK.json differ" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
-    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
 
 
 def test_bench_save_pairs_remove_the_worktree_when_a_run_fails(tmp_path, monkeypatch):
@@ -189,11 +189,11 @@ def test_bench_save_pairs_remove_the_worktree_when_a_run_fails(tmp_path, monkeyp
     with pytest.raises(RuntimeError, match="exited 1"):
         bench_save.main(["--tag", "t", "--against", "HEAD~1", "--out-dir", str(tmp_path)], paired_runner=runner)
     assert not (tmp_path / "BENCH_t.json").exists()
-    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
 
 
 def test_bench_save_pairs_bad_rev_exits_two(tmp_path, monkeypatch, capsys):
     bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
     assert bench_save.main(["--tag", "t", "--against", "no-such-rev", "--out-dir", str(tmp_path)]) == 2
     assert "cannot check out no-such-rev" in capsys.readouterr().err
-    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {repo}"]
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
