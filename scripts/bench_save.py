@@ -1,35 +1,35 @@
 #!/usr/bin/env python3
 """Save one point of the benchmark trajectory as BENCH_<tag>.json.
 
-    python3 scripts/bench_save.py --tag mytag --seeds 1-5
-    python3 scripts/bench_save.py --tag mytag --against HEAD~1 --pairs 10 [--workloads a,b]
+    python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b]
 
-Runs the benchmark command of BENCHMARK.json (perfbench/run.py) once per
-seed and workload listed there, one run at a time, with the run length
-given there, and reads the final JSON line of each run.  The file,
-written at the repository root or under --out-dir, holds per workload
-and end-to-end metric the median and the quartiles over the seeds
-(statistics.quantiles(values, n=4)), the ops attempted and failed, the
-seeds, the run length, the machine and the commit measured (`git
-rev-parse HEAD`, and whether tracked files had uncommitted changes).  A
-run that exits nonzero stops the script before anything is written, and
-the file is replaced atomically, so it is never left half written.
+Measures the working tree against REV in alternating pairs.  REV is
+checked out with `git worktree add --detach` into a temporary directory
+outside the repository, which is removed however the script ends; if
+perfbench/ or BENCHMARK.json differ between the two trees the script
+exits 2 before any run, since both sides must run one benchmark.  Each
+tree runs its own benchmark command of BENCHMARK.json (perfbench/run.py)
+with itself as the working directory, so each imports its own src/, and
+with the run length given there.  Pair i of a workload runs both sides
+on one seed, derived from the tag, the parent first when i is even and
+the change first when i is odd.
 
---against REV measures the working tree against REV in alternating
-pairs instead.  REV is checked out with `git worktree add --detach` into
-a temporary directory outside the repository, which is removed however
-the script ends; if perfbench/ or BENCHMARK.json differ between the two
-trees the script exits 2 before any run, since both sides must run one
-benchmark.  Each tree runs its own perfbench/run.py with itself as the
-working directory, so each imports its own src/.  Pair i of a workload
-runs both sides on one seed, derived from the tag, the parent first when
-i is even and the change first when i is odd.  Per workload the file
-holds every pair, each side's summary as above and, per end-to-end
-metric, the median paired ratio change/parent, the pairs the change won
-(ties count for neither side), the parent's quartile spread as a share
-of its median, "unresolved" when that spread exceeds the metric's bound
-and "gain" when the change won at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's quartile distance.
+The file, written at the repository root or under --out-dir, records
+the commit measured (`git rev-parse HEAD` and whether tracked files had
+uncommitted changes, read before the runs), REV and its commit, the
+machine, the seeds and the run length.  Per workload it holds every
+pair; per side the ops attempted and failed and, per end-to-end metric,
+the median and the quartiles (statistics.quantiles(values, n=4)); and
+per metric the median paired ratio change/parent, the pairs the change
+won (ties count for neither side), the parent's quartile spread as a
+share of its median, "unresolved" when that spread exceeds the metric's
+bound and "gain" when the change won at least nine tenths of the pairs
+and its median beats the parent's by more than the parent's quartile
+distance.  A run that exits nonzero stops the script before anything is
+written, and the file is replaced atomically, so it is never left half
+written.
+
+For the spread of a single tree over seeds, use perfbench/spread.py --out.
 """
 
 import argparse
@@ -45,7 +45,7 @@ from hashlib import sha256
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
-import spread  # noqa: E402  (perfbench/spread.py: seeds, machine, run_once)
+import spread  # noqa: E402  (perfbench/spread.py: machine)
 from pericatalan.enumeration import write_atomic  # noqa: E402
 
 
@@ -55,22 +55,15 @@ def summarize(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def aggregate(results: dict, metrics: list) -> dict:
-    """Per workload, the summary of each metric over its runs.
-
-    results maps a workload to the final JSON objects of its runs."""
-    out = {}
-    for workload, runs in results.items():
-        rows = {}
-        for m in metrics:
-            rows[m["name"]] = {**summarize([r["metrics"][m["name"]]["value"] for r in runs]), "unit": m["unit"]}
-        out[workload] = {
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "correct": all(r["correct"] for r in runs),
-            "metrics": rows,
-        }
-    return out
+def aggregate(runs: list, metrics: list) -> dict:
+    """The ops of one side's runs and the summary of each metric over them."""
+    return {
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "correct": all(r["correct"] for r in runs),
+        "metrics": {m["name"]: {**summarize([r["metrics"][m["name"]]["value"] for r in runs]), "unit": m["unit"]}
+                    for m in metrics},
+    }
 
 
 def commit() -> dict:
@@ -164,7 +157,7 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
                 print(f"{workload} seed {seed} ({order[0]} first): wall_s "
                       f"{pair['parent']['wall_s']} -> {pair['change']['wall_s']}", flush=True)
             report_workloads[workload] = {
-                **{side: aggregate({workload: runs[side]}, spec["end_to_end"])[workload] for side in runs},
+                **{side: aggregate(runs[side], spec["end_to_end"]) for side in runs},
                 "compare": compare(runs["parent"], runs["change"], spec["end_to_end"]),
                 "pairs": pairs,
             }
@@ -180,24 +173,19 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
         "run_seconds": spec["run_seconds"],
         "workloads": report_workloads,
     }
-    write_report(args, report)
-    return 0
-
-
-def write_report(args, report: dict) -> None:
     path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
     write_atomic(path, json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
+    return 0
 
 
-def main(argv=None, runner=spread.run_once, paired_runner=run_in) -> int:
+def main(argv=None, runner=run_in) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--seeds", type=spread.seeds, default=None)
-    parser.add_argument("--against", default=None)
+    parser.add_argument("--against", required=True, metavar="REV")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--out-dir", default=ROOT)
@@ -206,31 +194,9 @@ def main(argv=None, runner=spread.run_once, paired_runner=run_in) -> int:
     unknown = [w for w in workloads if w not in names]
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {names}")
-    if args.against is not None:
-        if args.seeds is not None:
-            parser.error("--seeds is for sequential runs; --against derives its seeds from --tag")
-        if args.pairs < 1:
-            parser.error(f"--pairs must be at least 1, got {args.pairs}")
-        return paired(args, spec, workloads, paired_runner)
-    seeds = args.seeds if args.seeds is not None else spread.seeds("1-5")
-
-    results = {}
-    for workload in workloads:
-        results[workload] = []
-        for seed in seeds:
-            result = runner(spec, workload, seed, 0)
-            results[workload].append(result)
-            print(f"{workload} seed {seed}: failed {result['failed']} of {result['attempted']}", flush=True)
-    report = {
-        "tag": args.tag,
-        **commit(),
-        "machine": spread.machine(),
-        "seeds": seeds,
-        "run_seconds": spec["run_seconds"],
-        "workloads": aggregate(results, spec["end_to_end"]),
-    }
-    write_report(args, report)
-    return 0
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    return paired(args, spec, workloads, runner)
 
 
 if __name__ == "__main__":

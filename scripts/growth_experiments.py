@@ -23,7 +23,7 @@ from pericatalan import cli
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="experiments-out")
-    ap.add_argument("--s-list", default="1,3,6,12", help="comma-separated s for quotient series")
+    ap.add_argument("--s-list", type=cli._int_list, default="1,3,6,12", help="comma-separated s for quotient series")
     ap.add_argument("--n-max", type=int, default=2800, help="depth of each quotient series")
     ap.add_argument("--s-max", type=int, default=100, help="defect series runs s = 1..s_max")
     ap.add_argument("--proxy-n", type=int, default=2000, help="depth standing in for the n limit")
@@ -32,9 +32,8 @@ def main():
 
     if args.quick:
         args.n_max, args.s_max, args.proxy_n = 400, 20, 400
-    s_list = [int(tok) for tok in args.s_list.split(",") if tok.strip()]
-    reg_s = 12 if 12 in s_list else s_list[-1]
-    calls = [(f"quotient-s{s}.csv", ["quotient", "--s", str(s), "--n-max", str(args.n_max)]) for s in s_list]
+    reg_s = 12 if 12 in args.s_list else args.s_list[-1]
+    calls = [(f"quotient-s{s}.csv", ["quotient", "--s", str(s), "--n-max", str(args.n_max)]) for s in args.s_list]
     calls.append(("regression.txt", ["regress", "--s", str(reg_s), "--n-min", str(min(100, args.n_max // 4)),
                                      "--n-max", str(args.n_max)]))
     calls.append(("fit.json", ["fit", "--s-max", str(args.s_max), "--proxy-n", str(args.proxy_n), "--format", "json"]))

@@ -184,15 +184,15 @@ def defect_series(s_values, proxy_n: int = 2000):
     return out
 
 
-def first_quotient_violation(table: LogTable, n_start: int = 3, slack: float = 1e-12):
-    """Smallest n with quotient(n) < quotient(n-1) - slack, or None.
+def first_quotient_violation(table: LogTable):
+    """Smallest n >= 4 with quotient(n) < quotient(n-1) - 1e-12, or None.
 
-    The scan starts at n_start = 3 by default: the bound is exact for
-    n < 3, so the quotient is exactly 1 at n = 2 and the step to n = 3
-    always decreases; monotone growth is only expected from 3 on.
+    The scan starts at n = 3: the bound is exact for n < 3, so the
+    quotient is exactly 1 at n = 2 and the step to n = 3 always
+    decreases; monotone growth is only expected from 3 on.
     """
-    n, _, _, q = quotient_series(table, n_start)
-    hits = np.flatnonzero(q[1:] < q[:-1] - slack)
+    n, _, _, q = quotient_series(table, 3)
+    hits = np.flatnonzero(q[1:] < q[:-1] - 1e-12)
     return int(n[hits[0] + 1]) if hits.size else None
 
 

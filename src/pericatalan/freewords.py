@@ -134,13 +134,14 @@ def _pools(s, up_to, reduced=False):
     return pools
 
 
-def enumerate_basic_trees(s: int, n: int, max_length: int = MAX_ENUM_LENGTH, budget: int = ENUM_BUDGET):
+def enumerate_basic_trees(s: int, n: int):
     """Stream of every basic tree with n leaves on s generators.
 
     Deterministic order; total count 3^(n-1) * s^n * catalan(n).
-    Budget and length guards fire before the first tree is produced.
+    The MAX_ENUM_LENGTH and ENUM_BUDGET guards fire before the first
+    tree is produced.
     """
-    _guard_enum(s, n, max_length, budget)
+    _guard_enum(s, n, MAX_ENUM_LENGTH, ENUM_BUDGET)
     return _tree_stream(s, n)
 
 
@@ -254,10 +255,9 @@ def count_reduced_rooted(
     if pairs > budget:
         raise ResourceGuardError(f"{pairs} candidate pairs exceed budget {budget}")
     pools = _pools(s, max(a, b), reduced=True)
-    if root.is_basic:
-        return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(root, x, y))
-    op = root.opposite
-    return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(op, y, x))
+    if not root.is_basic:
+        root, a, b = root.opposite, b, a
+    return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(root, x, y))
 
 
 def _orbit(w):
@@ -273,11 +273,14 @@ def _orbit(w):
     return out
 
 
-def nodal_class(w, max_length: int = MAX_CLASS_LENGTH) -> set:
-    """Orbit of w under all node swaps: exactly 2^(n-1) full trees."""
+def nodal_class(w) -> set:
+    """Orbit of w under all node swaps: exactly 2^(n-1) full trees.
+    Words over MAX_CLASS_LENGTH leaves are refused."""
     n = leaf_count(w)
-    if n > max_length:
-        raise ResourceGuardError(f"nodal class of a length-{n} word has 2^{n - 1} members, over the {max_length}-leaf limit")
+    if n > MAX_CLASS_LENGTH:
+        raise ResourceGuardError(
+            f"nodal class of a length-{n} word has 2^{n - 1} members, over the {MAX_CLASS_LENGTH}-leaf limit"
+        )
     return _orbit(w)
 
 

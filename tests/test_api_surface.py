@@ -1,9 +1,15 @@
-"""The library exports no function or class that only tests call.
+"""The library exports no function, class or parameter that only tests use.
 
 Every public module-level def and class in src/pericatalan must be named
 somewhere in src/, scripts/ or perfbench/ outside its own definition.
 The re-export in pericatalan/__init__.py does not count.  This reads
 names only: it cannot see methods, attributes or properties.
+
+Every parameter with a default of a public function, or of a public
+method of a public class, must be passed by some call of that name in
+src/, scripts/ or perfbench/: by position, by keyword, or through * or
+**.  Calls are matched by name alone, so a call of another function of
+the same name counts too.
 """
 
 import ast
@@ -61,3 +67,57 @@ def test_every_public_definition_has_a_non_test_caller():
     uses = _references()
     unused = [f"{path}: {name}" for path, name in _public_definitions() if name not in uses]
     assert not unused, "public API that only tests use:\n" + "\n".join(unused)
+
+
+def _call_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _public_functions():
+    # (path, def, bound): module-level functions, and the methods of
+    # module-level classes, whose first parameter (self) a call does not pass
+    for path in _sources(os.path.join("src", "pericatalan")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, node, 0
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((path, f, 1) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def _defaulted_parameters():
+    # (path, function, parameter, position among a call's arguments, or
+    # None for a keyword-only parameter)
+    for path, f, bound in _public_functions():
+        if f.name.startswith("_"):
+            continue
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        for i in range(first, len(positional)):
+            yield os.path.relpath(path, ROOT), f.name, positional[i].arg, i - bound
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield os.path.relpath(path, ROOT), f.name, arg.arg, None
+
+
+def _passes(call, parameter, position):
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_has_a_non_test_caller():
+    calls = {}
+    for path in _sources(os.path.join("src", "pericatalan"), "scripts", "perfbench"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    unused = [f"{path}: {name}({parameter})" for path, name, parameter, position in _defaulted_parameters()
+              if not any(_passes(call, parameter, position) for call in calls.get(name, []))]
+    assert not unused, "parameters that only tests pass:\n" + "\n".join(unused)

@@ -181,11 +181,12 @@ def test_violation_detection_on_crafted_table():
     assert first_quotient_violation(crafted) == 17
 
 
-def _scalar_violation(table, n_start, slack):
-    prev = quotient(table.s, n_start, table)
-    for n in range(n_start + 1, table.n_max + 1):
+def _scalar_violation(table):
+    # the scan of first_quotient_violation, one quotient at a time
+    prev = quotient(table.s, 3, table)
+    for n in range(4, table.n_max + 1):
         cur = quotient(table.s, n, table)
-        if cur < prev - slack:
+        if cur < prev - 1e-12:
             return n
         prev = cur
     return None
@@ -198,20 +199,13 @@ def test_violation_scan_matches_scalar_loop(s):
     values[200] = values[199]  # flat spot forces a dip in the quotient
     crafted = LogTable(s=s, values=values, catalan_values=real.catalan_values)
     for table in (real, crafted):
-        for n_start in (2, 3, 10, 150):
-            for slack in (1e-12, 0.0, -1e-3, -1.0):
-                got = first_quotient_violation(table, n_start, slack)
-                assert got == _scalar_violation(table, n_start, slack), (n_start, slack)
-    assert first_quotient_violation(real, 10, -1.0) == 11  # negative slack forces a hit
-    assert first_quotient_violation(crafted, 150, 0.0) == 200
+        assert first_quotient_violation(table) == _scalar_violation(table)
+    assert first_quotient_violation(crafted) == 200
 
 
-def test_violation_scan_domain_and_short_tables():
-    t = log_peri_table(2, 6)
-    with pytest.raises(DomainError):
-        first_quotient_violation(t, n_start=1)
-    assert first_quotient_violation(t, n_start=6) is None
-    assert first_quotient_violation(t, n_start=5, slack=-1.0) == 6
+def test_violation_scan_short_tables():
+    assert first_quotient_violation(log_peri_table(2, 3)) is None
+    assert first_quotient_violation(log_peri_table(2, 2)) is None
 
 
 def test_regression_exact_line():

@@ -235,6 +235,12 @@ def test_oracle_missing_n(capsys):
     assert rc == 2 and out == ""
 
 
+def test_oracle_n_and_n_max_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--s", "1", "--n", "3", "--n-max", "2"])
+    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+
+
 def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(freewords, "count_reduced", lambda s, n, **kw: 0)
     rc, out, _ = run(capsys, "oracle", "--s", "1", "--n", "3")

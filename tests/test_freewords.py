@@ -94,7 +94,7 @@ def test_enumeration_stream_order():
     ]
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(monkeypatch):
     with pytest.raises(DomainError):
         fw.enumerate_basic_trees(0, 2)
     with pytest.raises(DomainError):
@@ -102,14 +102,17 @@ def test_enumeration_guards():
     with pytest.raises(ResourceGuardError):
         fw.enumerate_basic_trees(1, 9)
     with pytest.raises(ResourceGuardError):
-        fw.enumerate_basic_trees(2, 4, budget=100)
+        with monkeypatch.context() as m:
+            m.setattr(fw, "ENUM_BUDGET", 100)
+            fw.enumerate_basic_trees(2, 4)
     # the guard fires at call time, before the first tree is drawn
     gen = None
     with pytest.raises(ResourceGuardError):
         gen = fw.enumerate_basic_trees(3, 7)
     assert gen is None
-    # overrides lift the refusal; counted as a stream, never held as a list
-    assert sum(1 for _ in fw.enumerate_basic_trees(1, 9, max_length=9)) == word_count_bound(1, 9)
+    # a raised limit lifts the refusal; counted as a stream, never held as a list
+    monkeypatch.setattr(fw, "MAX_ENUM_LENGTH", 9)
+    assert sum(1 for _ in fw.enumerate_basic_trees(1, 9)) == word_count_bound(1, 9)
 
 
 def test_six_minimal_patterns_not_reduced():
@@ -228,14 +231,15 @@ def test_nodal_class_size_length_four():
     assert len(fw.nodal_class(w)) == 8
 
 
-def test_nodal_class_guard():
+def test_nodal_class_guard(monkeypatch):
     w = 1
     for i in range(17):
         w = (fw.MUL, w, 1)
     assert fw.leaf_count(w) == 18
     with pytest.raises(ResourceGuardError):
         fw.nodal_class(w)
-    assert len(fw.nodal_class(w, max_length=18)) == 2**17
+    monkeypatch.setattr(fw, "MAX_CLASS_LENGTH", 18)
+    assert len(fw.nodal_class(w)) == 2**17
 
 
 def test_normalize_single_swap():

@@ -26,6 +26,14 @@ def test_growth_experiments_quick(tmp_path):
     assert [row["s"] for row in fit["series"]] == list(range(1, 21))
 
 
+def test_growth_experiments_bad_s_list(tmp_path):
+    for s_list in (",", "x"):
+        proc = run_script("growth_experiments.py", "--s-list", s_list, "--out-dir", str(tmp_path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert "comma-separated integers" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_first_ten_table():
     proc = run_script("first_ten_table.py")
     assert proc.returncode == 0, proc.stderr
@@ -39,35 +47,6 @@ def _load_bench_save():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_bench_save_aggregates_stubbed_runs(tmp_path, monkeypatch):
-    # The runner is stubbed: the benchmark itself never runs here.
-    bench_save = _load_bench_save()
-    monkeypatch.setattr(bench_save.spread, "machine", lambda: {"cpus": 2})
-    calls = []
-
-    def runner(spec, workload, seed, trace):
-        calls.append((workload, seed, trace))
-        metrics = {m["name"]: {"value": seed * (i + 1), "unit": m["unit"]} for i, m in enumerate(spec["end_to_end"])}
-        failed = 1 if (workload, seed) == ("log_growth", 4) else 0
-        return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
-
-    argv = ["--tag", "t", "--seeds", "1,2,4,8", "--out-dir", str(tmp_path)]
-    assert bench_save.main(argv, runner=runner) == 0
-    workloads = ["exact_table", "log_growth", "oracle_sweep", "cache_cli"]
-    assert calls == [(w, s, 0) for w in workloads for s in (1, 2, 4, 8)]
-    assert [f.name for f in tmp_path.iterdir()] == ["BENCH_t.json"]  # no .pcat-* temp litter
-    report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert report["tag"] == "t" and report["seeds"] == [1, 2, 4, 8] and report["run_seconds"] == 25
-    assert report["machine"] == {"cpus": 2} and "commit" in report and "dirty" in report
-    assert list(report["workloads"]) == workloads
-    exact = report["workloads"]["exact_table"]
-    assert (exact["attempted"], exact["failed"], exact["correct"]) == (40, 0, True)
-    # wall_s is the second metric: values 2, 4, 8, 16
-    assert exact["metrics"]["wall_s"] == {"median": 6.0, "q1": 2.5, "q3": 14.0, "runs": 4, "unit": "s"}
-    log = report["workloads"]["log_growth"]
-    assert (log["failed"], log["correct"]) == (1, False)
 
 
 def test_bench_save_single_run_quartiles():
@@ -134,13 +113,14 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
         values = {"setup_s": [1.0, 2.0, 3.0][i], "wall_s": wall, "cpu_s": wall,
                   "peak_rss_mb": 41.0 if side == "change" else 40.0}
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in spec["end_to_end"]}
-        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+        failed = 1 if (side, workload, i) == ("parent", "log_growth", 1) else 0
+        return {"correct": failed == 0, "attempted": 5, "failed": failed, "metrics": metrics}
 
     out = tmp_path / "out"
     out.mkdir()
     argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "3", "--workloads", "exact_table,log_growth",
             "--out-dir", str(out)]
-    assert bench_save.main(argv, paired_runner=runner) == 0
+    assert bench_save.main(argv, runner=runner) == 0
     seeds = bench_save.tag_seeds("t", 3)
     assert seeds == list(range(seeds[0], seeds[0] + 3)) and seeds[0] >= 10_000
     order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
@@ -150,13 +130,19 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     report = json.loads((out / "BENCH_t.json").read_text())
     parent = subprocess.run(["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True).stdout.strip()
     assert report["against"] == {"rev": "HEAD~1", "commit": parent} and report["seeds"] == seeds
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True).stdout.strip()
+    assert (report["commit"], report["dirty"]) == (head, False)
+    assert report["tag"] == "t" and report["run_seconds"] == 25 and report["machine"] == {"cpus": 2}
     assert list(report["workloads"]) == ["exact_table", "log_growth"]
     exact = report["workloads"]["exact_table"]
     assert [p["first"] for p in exact["pairs"]] == ["parent", "change", "parent"]
     assert exact["pairs"][1]["parent"]["wall_s"] == 2.2 and exact["pairs"][1]["change"]["wall_s"] == 1.1
     assert exact["parent"]["metrics"]["wall_s"] == {"median": 2.2, "q1": 2.0, "q3": 2.4, "runs": 3, "unit": "s"}
     assert exact["change"]["metrics"]["wall_s"]["median"] == 1.1
-    assert exact["change"]["attempted"] == 15 and exact["change"]["correct"]
+    assert (exact["change"]["attempted"], exact["change"]["failed"], exact["change"]["correct"]) == (15, 0, True)
+    log = report["workloads"]["log_growth"]
+    assert (log["parent"]["attempted"], log["parent"]["failed"], log["parent"]["correct"]) == (15, 1, False)
+    assert (log["change"]["failed"], log["change"]["correct"]) == (0, True)
     wall, setup, rss = (exact["compare"][m] for m in ("wall_s", "setup_s", "peak_rss_mb"))
     assert (wall["median_ratio"], wall["wins"], wall["pairs"], wall["unresolved"], wall["gain"]) == (0.5, 3, 3, False, True)
     assert abs(wall["parent_spread"] - 0.4 / 2.2) < 1e-12 and wall["bound"] == 0.25
@@ -174,7 +160,7 @@ def test_bench_save_pairs_refuse_a_changed_benchmark(tmp_path, monkeypatch, caps
         raise AssertionError("no run may start when the benchmarks differ")
 
     argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--out-dir", str(tmp_path)]
-    assert bench_save.main(argv, paired_runner=runner) == 2
+    assert bench_save.main(argv, runner=runner) == 2
     assert "perfbench/ or BENCHMARK.json differ" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
@@ -187,7 +173,7 @@ def test_bench_save_pairs_remove_the_worktree_when_a_run_fails(tmp_path, monkeyp
         raise RuntimeError(f"{workload} seed {seed} exited 1")
 
     with pytest.raises(RuntimeError, match="exited 1"):
-        bench_save.main(["--tag", "t", "--against", "HEAD~1", "--out-dir", str(tmp_path)], paired_runner=runner)
+        bench_save.main(["--tag", "t", "--against", "HEAD~1", "--out-dir", str(tmp_path)], runner=runner)
     assert not (tmp_path / "BENCH_t.json").exists()
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
 
@@ -197,3 +183,15 @@ def test_bench_save_pairs_bad_rev_exits_two(tmp_path, monkeypatch, capsys):
     assert bench_save.main(["--tag", "t", "--against", "no-such-rev", "--out-dir", str(tmp_path)]) == 2
     assert "cannot check out no-such-rev" in capsys.readouterr().err
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
+
+
+def test_bench_save_needs_against(tmp_path, monkeypatch, capsys):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+
+    def runner(*args):
+        raise AssertionError("no run may start without --against")
+
+    with pytest.raises(SystemExit) as exc:
+        bench_save.main(["--tag", "t", "--out-dir", str(tmp_path)], runner=runner)
+    assert exc.value.code == 2 and "--against" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists() and list(temp.iterdir()) == []
