@@ -17,6 +17,18 @@ n-k >= k of the ratios it has just computed in one max-shifted numpy
 logsumexp, off-diagonal terms weighted 2 and the diagonal (even n) 1.
 This is deterministic for a fixed numpy build.
 
+Most ratios of a row are exactly 1.0 and are written as a fill, not
+computed.  With g the smallest step l_{j+1} - l_j so far, every ratio
+with lo > width = int(40 / g) + 1 has l_hi - l_d >= lo g > 40, so
+t = rho * exp(l_d - l_hi) < e^-40 < 2^-54 and 1 - t == 1.0 in double
+precision.  Only the last width ratios of a row (about 12 at s = 12,
+37 at s = 1) go through the gather, the exp and the (0, 1] check; the
+exp of the skipped ones would underflow, which is slow on some CPUs.
+The logsumexp still runs over the whole row, so every l and every rho
+is bit-identical to computing the row in full.  A NaN or non-positive
+step turns the skip off for the rest of the table.  ln C_n is computed
+once for the longest table so far; shorter tables get read-only views.
+
 rho is stored on canonical pairs only, packed by pair sum into one flat
 array of n_max^2 // 4 doubles: row d holds rho(a, d - a) for
 a = ceil(d/2) .. d-1 and starts at (d-1)^2 // 4.  Row n is written as
@@ -45,16 +57,27 @@ _LOG3 = math.log(3.0)
 LOG_CEILING = 10_000  # largest n_max of a log table: a 0.2 GB ratio store (n^2/4 doubles)
 
 
+_CUT = 40.0  # exp(-40) < 2^-54: 1 - t rounds to exactly 1.0 below it
+
+_lc = np.empty(0)  # the longest read-only ln C_n array built so far
+
+
 def _log_catalan_array(n_max: int) -> np.ndarray:
     # lc[n] = ln(number of n-leaf binary tree shapes); exact bigint
-    # running value, so each entry is correct to the last ulp.
-    lc = np.empty(n_max + 1)
-    lc[0] = np.nan
-    c = 1
-    for m in range(1, n_max + 1):
-        lc[m] = math.log(c)
-        c = c * (2 * (2 * m - 1)) // (m + 1)
-    return lc
+    # running value, so each entry is correct to the last ulp and does
+    # not depend on n_max: a read-only prefix view of a longer build is
+    # the same array.
+    global _lc
+    if len(_lc) <= n_max:
+        lc = np.empty(n_max + 1)
+        lc[0] = np.nan
+        c = 1
+        for m in range(1, n_max + 1):
+            lc[m] = math.log(c)
+            c = c * (2 * (2 * m - 1)) // (m + 1)
+        lc.setflags(write=False)
+        _lc = lc
+    return _lc[:n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -110,25 +133,33 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
     grid[0] = 1.0  # rho(1, 1): n = 2 reads it as its diagonal's rho(1, 0)
     idx = np.arange(n_max + 1)
     base = (idx - 1) ** 2 // 4 - (idx + 1) // 2  # rho(a, d - a) is grid[base[d] + a]
+    g = math.inf  # smallest step lp[j+1] - lp[j] so far; not > 0 turns the skip off
     for n in range(2, n_max + 1):
         # hi = h0 .. n-1 ascending, lo = n - hi descending, d = hi - lo = 2 hi - n
         h0 = (n + 1) // 2
         m = n - h0
-        lo = idx[m:0:-1]
-        lp_hi = lp[h0:n]
-        at = np.maximum(idx[n % 2:n - 1:2], lo)
-        at += base[h0:n]
-        t = np.exp(lp[n % 2:n - 1:2] - lp_hi)
-        t *= grid[at]  # rho(max(d, lo), min(d, lo))
+        # only lo <= width can give rho < 1; the entries before are exactly 1.0
+        width = min(m, int(_CUT / g) + 1) if g * m > _CUT else m
+        c0 = n - width  # the first hi computed; d0 its d
+        d0 = 2 * c0 - n
         row = (n - 1) ** 2 // 4
-        vals = np.subtract(1.0, t, out=grid[row:row + m])  # at most 1: t >= 0
-        if not vals.min() > 0.0:
-            i = int(np.argmax(~(vals > 0.0)))
+        cut = row + m - width
+        grid[row:cut] = 1.0
+        lo = idx[width:0:-1]
+        lp_hi = lp[c0:n]
+        at = np.maximum(idx[d0:n - 1:2], lo)
+        at += base[c0:n]
+        t = np.exp(lp[d0:n - 1:2] - lp_hi)
+        t *= grid[at]  # rho(max(d, lo), min(d, lo))
+        tail = np.subtract(1.0, t, out=grid[cut:row + m])  # at most 1: t >= 0
+        if not tail.min() > 0.0:
+            i = int(np.argmax(~(tail > 0.0)))
             raise StabilityError(
-                f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={vals[i]!r}"
+                f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={tail[i]!r}"
             )
+        vals = grid[row:row + m]
         terms = np.log(vals)
-        terms += lp_hi
+        terms += lp[h0:n]
         terms += lp[m:0:-1]
         top = terms.max()
         terms -= top
@@ -136,8 +167,10 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         if n % 2 == 0:
             w[0] *= 0.5  # the diagonal hi == lo appears once, not twice
         lp[n] = _LOG3 + top + math.log(2.0 * w.sum())
+        step = lp[n] - lp[n - 1]
+        if g > 0.0 and not step >= g:  # a NaN or non-positive step sticks
+            g = step
     lp.setflags(write=False)
-    lc.setflags(write=False)
     grid.setflags(write=False)
     table = LogTable(s=s, values=lp, catalan_values=lc)
     if with_rho:

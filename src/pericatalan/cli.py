@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     span = p.add_mutually_exclusive_group()
     span.add_argument("--n", type=int, default=None)
     span.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--rooted", type=_int_pair, default=None, metavar="A,B", help="check the six rooted counts at split A,B")
+    span.add_argument("--rooted", type=_int_pair, default=None, metavar="A,B", help="check the six rooted counts at split A,B")
     p.add_argument("--budget", type=int, default=freewords.ENUM_BUDGET, help="candidate-tree budget")
     p.add_argument("--max-length", type=int, default=freewords.MAX_ENUM_LENGTH, help="hard word-length limit")
     output(p)

@@ -128,11 +128,93 @@ def test_log_matches_verifier_to_1000():
         assert abs(t.log_value(n) - want) <= 1e-14 * want, (n, t.log_value(n), want)
 
 
+def full_row_table(s, n_max):
+    """(lp, packed rho) computing every ratio of every row: the engine's
+    step before it wrote the provably-1.0 prefix of a row as a fill."""
+    lp = np.empty(n_max + 1)
+    lp[0] = -math.inf
+    lp[1] = math.log(s)
+    grid = np.empty(n_max * n_max // 4)
+    grid[0] = 1.0
+    idx = np.arange(n_max + 1)
+    base = (idx - 1) ** 2 // 4 - (idx + 1) // 2
+    for n in range(2, n_max + 1):
+        h0 = (n + 1) // 2
+        m = n - h0
+        lo = idx[m:0:-1]
+        lp_hi = lp[h0:n]
+        at = np.maximum(idx[n % 2:n - 1:2], lo)
+        at += base[h0:n]
+        t = np.exp(lp[n % 2:n - 1:2] - lp_hi)
+        t *= grid[at]
+        row = (n - 1) ** 2 // 4
+        vals = np.subtract(1.0, t, out=grid[row:row + m])
+        if not vals.min() > 0.0:
+            i = int(np.argmax(~(vals > 0.0)))
+            raise StabilityError(
+                f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={vals[i]!r}"
+            )
+        terms = np.log(vals)
+        terms += lp_hi
+        terms += lp[m:0:-1]
+        top = terms.max()
+        terms -= top
+        w = np.exp(terms, out=terms)
+        if n % 2 == 0:
+            w[0] *= 0.5
+        lp[n] = asymptotics._LOG3 + top + math.log(2.0 * w.sum())
+    return lp, grid
+
+
+@pytest.mark.parametrize("s, n_maxes", [
+    *[(s, (2, 3, 4, 5, 60, 301, 2000)) for s in (1, 2, 7, 12, 10**200)],
+    (12, (2800,)),
+])
+def test_skipped_prefix_is_bit_identical(s, n_maxes):
+    for n_max in n_maxes:
+        t, rho = log_peri_table(s, n_max, with_rho=True)
+        lp, grid = full_row_table(s, n_max)
+        assert np.array_equal(t.values, lp), (s, n_max)
+        assert np.array_equal(rho.grid, grid), (s, n_max)
+
+
+@pytest.mark.parametrize("log3", [-0.3, -0.5])
+def test_skip_off_after_a_nonpositive_step(monkeypatch, log3):
+    # a wrong ln 3 at s = 2 makes the step l_3 - l_2 negative.  A cut of 1
+    # would skip ratios that are not 1.0, so the rows match the full
+    # computation bit for bit only if that step turned the skip off.
+    monkeypatch.setattr(asymptotics, "_LOG3", log3)
+    monkeypatch.setattr(asymptotics, "_CUT", 1.0)
+    t, rho = log_peri_table(2, 200, with_rho=True)
+    assert not np.diff(t.values[1:]).min() > 0.0
+    lp, grid = full_row_table(2, 200)
+    assert np.array_equal(t.values, lp) and np.array_equal(rho.grid, grid)
+
+
 def test_stability_error_names_n_and_k(monkeypatch):
     # a wrong ln 3 makes l_2 too small, so rho(2, 1) = 1 - exp(l_1 - l_2) < 0
     monkeypatch.setattr(asymptotics, "_LOG3", -5.0)
-    with pytest.raises(StabilityError, match="n=3, k=1"):
+    with pytest.raises(StabilityError, match="n=3, k=1") as got:
         log_peri_table(1, 20)
+    with pytest.raises(StabilityError) as want:
+        full_row_table(1, 20)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("cancelation ratio not in (0, 1] at s=1, n=3, k=1: rho=")
+
+
+def test_log_catalan_views_of_one_build():
+    # tables share one read-only ln C_n build; each gets an n_max + 1 view
+    for n_max in (2800, 50, 2000):
+        lc = log_peri_table(1, n_max).catalan_values
+        fresh = [math.nan]
+        c = 1
+        for m in range(1, n_max + 1):
+            fresh.append(math.log(c))
+            c = c * (2 * (2 * m - 1)) // (m + 1)
+        assert len(lc) == n_max + 1
+        assert np.array_equal(lc, np.array(fresh), equal_nan=True)
+        with pytest.raises(ValueError):
+            lc[1] = 0.0
 
 
 def test_log_ceiling_guard(monkeypatch):

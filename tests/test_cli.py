@@ -192,7 +192,7 @@ def test_oracle_single_n(capsys):
 
 
 def test_oracle_rooted(capsys):
-    rc, out, _ = run(capsys, "oracle", "--s", "2", "--n", "4", "--rooted", "2,2")
+    rc, out, _ = run(capsys, "oracle", "--s", "2", "--rooted", "2,2")
     assert rc == 0
     lines = out.strip().splitlines()
     assert len(lines) == 6
@@ -239,6 +239,15 @@ def test_oracle_n_and_n_max_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--s", "1", "--n", "3", "--n-max", "2"])
     assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", [["--n", "4"], ["--n-max", "3"]])
+def test_oracle_rooted_excludes_n_and_n_max(capsys, span):
+    # --rooted checks one split; an --n or --n-max beside it was ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--s", "1", "--rooted", "1,1", *span])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "not allowed with argument" in captured.err
 
 
 def test_oracle_mismatch_exit_code(capsys, monkeypatch):
