@@ -146,10 +146,9 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         cut = row + m - width
         grid[row:cut] = 1.0
         lo = idx[width:0:-1]
-        lp_hi = lp[c0:n]
         at = np.maximum(idx[d0:n - 1:2], lo)
         at += base[c0:n]
-        t = np.exp(lp[d0:n - 1:2] - lp_hi)
+        t = np.exp(lp[d0:n - 1:2] - lp[c0:n])
         t *= grid[at]  # rho(max(d, lo), min(d, lo))
         tail = np.subtract(1.0, t, out=grid[cut:row + m])  # at most 1: t >= 0
         if not tail.min() > 0.0:
@@ -157,8 +156,7 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
             raise StabilityError(
                 f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={tail[i]!r}"
             )
-        vals = grid[row:row + m]
-        terms = np.log(vals)
+        terms = np.log(grid[row:row + m])
         terms += lp[h0:n]
         terms += lp[m:0:-1]
         top = terms.max()
