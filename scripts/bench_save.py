@@ -10,9 +10,11 @@ perfbench/ or BENCHMARK.json differ between the two trees the script
 exits 2 before any run, since both sides must run one benchmark.  Each
 tree runs its own benchmark command of BENCHMARK.json (perfbench/run.py)
 with itself as the working directory, so each imports its own src/, and
-with the run length given there.  Pair i of a workload runs both sides
-on one seed, derived from the tag, the parent first when i is even and
-the change first when i is odd.
+with the run length given there.  The pairs run in rounds: round i runs
+the pair of every workload in turn, both sides on seed i, derived from
+the tag, before round i + 1 starts, so a spell of machine load is
+spread over the workloads instead of landing on one.  The parent runs
+first in even rounds and the change first in odd ones.
 
 The file, written at the repository root or under --out-dir, records
 the commit measured (`git rev-parse HEAD` and whether tracked files had
@@ -144,23 +146,26 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
         against = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True).stdout.strip()
         trees = {"parent": tree, "change": ROOT}
         seeds = tag_seeds(args.tag, args.pairs)
-        report_workloads = {}
-        for workload in workloads:
-            runs = {"parent": [], "change": []}
-            pairs = []
-            for i, seed in enumerate(seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {workload: {"parent": [], "change": []} for workload in workloads}
+        pairs = {workload: [] for workload in workloads}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for workload in workloads:
                 for side in order:
-                    runs[side].append(runner(trees[side], spec, workload, seed))
-                pair = {side: {name: v["value"] for name, v in runs[side][-1]["metrics"].items()} for side in runs}
-                pairs.append({"seed": seed, "first": order[0], **pair})
+                    runs[workload][side].append(runner(trees[side], spec, workload, seed))
+                pair = {side: {name: v["value"] for name, v in sides[-1]["metrics"].items()}
+                        for side, sides in runs[workload].items()}
+                pairs[workload].append({"seed": seed, "first": order[0], **pair})
                 print(f"{workload} seed {seed} ({order[0]} first): wall_s "
                       f"{pair['parent']['wall_s']} -> {pair['change']['wall_s']}", flush=True)
-            report_workloads[workload] = {
-                **{side: aggregate(runs[side], spec["end_to_end"]) for side in runs},
-                "compare": compare(runs["parent"], runs["change"], spec["end_to_end"]),
-                "pairs": pairs,
+        report_workloads = {
+            workload: {
+                **{side: aggregate(sides, spec["end_to_end"]) for side, sides in runs[workload].items()},
+                "compare": compare(runs[workload]["parent"], runs[workload]["change"], spec["end_to_end"]),
+                "pairs": pairs[workload],
             }
+            for workload in workloads
+        }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)  # drops REV's worktree entry

@@ -29,12 +29,14 @@ def main():
     ap.add_argument("--proxy-n", type=int, default=2000, help="depth standing in for the n limit")
     ap.add_argument("--quick", action="store_true", help="small ranges, a few seconds total")
     args = ap.parse_args()
+    if args.n_max < 3:
+        ap.error(f"--n-max must be at least 3, got {args.n_max}")
 
     if args.quick:
         args.n_max, args.s_max, args.proxy_n = 400, 20, 400
     reg_s = 12 if 12 in args.s_list else args.s_list[-1]
     calls = [(f"quotient-s{s}.csv", ["quotient", "--s", str(s), "--n-max", str(args.n_max)]) for s in args.s_list]
-    calls.append(("regression.txt", ["regress", "--s", str(reg_s), "--n-min", str(min(100, args.n_max // 4)),
+    calls.append(("regression.txt", ["regress", "--s", str(reg_s), "--n-min", str(max(2, min(100, args.n_max // 4))),
                                      "--n-max", str(args.n_max)]))
     calls.append(("fit.json", ["fit", "--s-max", str(args.s_max), "--proxy-n", str(args.proxy_n), "--format", "json"]))
 

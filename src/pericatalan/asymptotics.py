@@ -41,8 +41,10 @@ n = LOG_CEILING are refused: the store would outgrow memory.
 
 Also here: the normalized growth quotient l_n / ln(bound) as one array
 series, its complement the cancelation defect, ordinary least squares,
-and the rational fit defect ~ a / (s - b).  This module returns numbers;
-the command line owns every output layout.
+and the rational fit defect ~ a / (s - b).  A LogTable is read only as
+its arrays: regression_points slices them into one (K, 2) array, and
+both fits take such an array or a list of pairs.  This module returns
+numbers; the command line owns every output layout.
 """
 
 import math
@@ -91,16 +93,6 @@ class LogTable:
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
-
-    def log_value(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"n={n} outside table range 1..{self.n_max}")
-        return float(self.values[n])
-
-    def log_catalan(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"n={n} outside table range 1..{self.n_max}")
-        return float(self.catalan_values[n])
 
 
 @dataclass(frozen=True)
@@ -235,12 +227,11 @@ class RegressionResult:
 
 
 def linear_regression(points) -> RegressionResult:
-    """Ordinary least squares on (x, y) pairs."""
-    pts = list(points)
+    """Ordinary least squares on (x, y) pairs: a list or a (K, 2) array."""
+    pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise DomainError(f"regression needs >= 2 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
     dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx == 0.0:
@@ -253,11 +244,13 @@ def linear_regression(points) -> RegressionResult:
     return RegressionResult(slope=slope, intercept=intercept, residual_stderr=stderr)
 
 
-def regression_points(table: LogTable, n_min: int, n_max: int):
-    """(n, ln P - ln C_n) pairs, the series whose slope approaches ln 3s."""
+def regression_points(table: LogTable, n_min: int, n_max: int) -> np.ndarray:
+    """(K, 2) array of rows (n, ln P - ln C_n), the series whose slope
+    approaches ln 3s."""
     if not 2 <= n_min <= n_max <= table.n_max:
         raise DomainError(f"need 2 <= n_min <= n_max <= {table.n_max}, got [{n_min}, {n_max}]")
-    return [(n, table.log_value(n) - table.log_catalan(n)) for n in range(n_min, n_max + 1)]
+    span = slice(n_min, n_max + 1)
+    return np.column_stack((np.arange(n_min, n_max + 1), table.values[span] - table.catalan_values[span]))
 
 
 @dataclass(frozen=True)
@@ -276,15 +269,14 @@ def rational_fit(points) -> RationalFitResult:
     linearized residuals by f**4 makes them agree with the direct ones to
     first order, and that weighted solution seeds the Gauss-Newton loop.
     """
-    pts = list(points)
+    pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise DomainError(f"rational fit needs >= 2 points, got {len(pts)}")
-    if any(f <= 0 for _, f in pts):
+    s, f = pts[:, 0], pts[:, 1]
+    if np.any(f <= 0):
         raise DomainError("rational fit needs all f > 0")
-    if len({p[0] for p in pts}) < 2:
+    if np.all(s == s[0]):
         raise DomainError("rational fit needs distinct s values")
-    s = np.array([p[0] for p in pts], dtype=float)
-    f = np.array([p[1] for p in pts], dtype=float)
     w = f * f  # sqrt of the f**4 residual weights
     design = np.vstack([s * w, w]).T
     coef, *_ = np.linalg.lstsq(design, np.ones_like(f) * w / f, rcond=None)

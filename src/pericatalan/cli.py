@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-exact", action="store_true", help=f"allow exact mode past n={EXACT_CEILING}")
     output(p)
     cache(p)
+    p.set_defaults(handler=cmd_compute)
 
     p = sub.add_parser("table", help="table of P(s, n) over an s-list and n range")
     p.add_argument("--s-list", type=_int_list, required=True)
@@ -70,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-exact", action="store_true")
     output(p, all_formats)
     cache(p)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("oracle", help="brute-force counts checked against the formula")
     p.add_argument("--s", type=int, required=True)
@@ -80,28 +82,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=freewords.ENUM_BUDGET, help="candidate-tree budget")
     p.add_argument("--max-length", type=int, default=freewords.MAX_ENUM_LENGTH, help="hard word-length limit")
     output(p)
+    p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("quotient", help="normalized growth quotient series")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     output(p, all_formats, default="csv")
+    p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser("regress", help="least squares on the log-count series")
     p.add_argument("--s", type=int, default=12)
     p.add_argument("--n-min", type=int, default=100)
     p.add_argument("--n-max", type=int, default=2800)
     output(p, ("text", "json"))
+    p.set_defaults(handler=cmd_regress)
 
     p = sub.add_parser("fit", help="rational fit of the cancelation defect in s")
     p.add_argument("--s-max", type=int, default=100)
     p.add_argument("--proxy-n", type=int, default=2000)
     output(p, all_formats)
+    p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("word", help="reducedness / nodal class of one word")
     p.add_argument("--word", required=True)
     p.add_argument("--s", type=int, default=None, help="bound generator indices")
     p.add_argument("--dump-class", action="store_true")
     output(p, ("text", "json"))
+    p.set_defaults(handler=cmd_word)
 
     return parser
 
@@ -148,7 +155,7 @@ def cmd_compute(args) -> int:
         _emit(args.out, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n")
     else:
         table = asymptotics.log_peri_table(args.s, max(args.n, 2))
-        _emit(args.out, f"{table.log_value(args.n):.6g}\n")
+        _emit(args.out, f"{table.values[args.n]:.6g}\n")
     return EXIT_OK
 
 
@@ -179,18 +186,13 @@ def cmd_table(args) -> int:
 def cmd_oracle(args) -> int:
     if args.s < 1:
         raise DomainError(f"oracle needs s >= 1, got {args.s}")
-    lines = []
-    ok = True
     if args.rooted is not None:
         a, b = args.rooted
         # The oracle's guards refuse a large split before the formula runs.
         counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op, max_length=args.max_length, budget=args.budget))
                   for op in freewords.ALL_OPS]
         expected = enumeration.aux_bivariate(args.s, a, b)
-        for op, got in counts:
-            match = got == expected
-            ok = ok and match
-            lines.append(f"s={args.s} a={a} b={b} root={op.name} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
+        checks = [(f"s={args.s} a={a} b={b} root={op.name}", got, expected) for op, got in counts]
     else:
         if args.n is None and (args.n_max is None or args.n_max < 1):
             raise DomainError(f"oracle needs --n, or --n-max >= 1 (got n_max={args.n_max})")
@@ -198,12 +200,14 @@ def cmd_oracle(args) -> int:
         # The oracle's guards refuse a bad or large n before the formula runs.
         counts = [freewords.count_reduced(args.s, n, max_length=args.max_length, budget=args.budget) for n in ns]
         column = enumeration.build_table(args.s, max(ns)).values
-        for n, got in zip(ns, counts):
-            expected = column[n]
-            match = got == expected
-            ok = ok and match
-            lines.append(f"s={args.s} n={n} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}")
-    _emit(args.out, "".join(line + "\n" for line in lines))
+        checks = [(f"s={args.s} n={n}", got, column[n]) for n, got in zip(ns, counts)]
+    lines = []
+    ok = True
+    for label, got, expected in checks:
+        match = got == expected
+        ok = ok and match
+        lines.append(f"{label} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}\n")
+    _emit(args.out, "".join(lines))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -296,17 +300,6 @@ def cmd_word(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "compute": cmd_compute,
-    "table": cmd_table,
-    "oracle": cmd_oracle,
-    "quotient": cmd_quotient,
-    "regress": cmd_regress,
-    "fit": cmd_fit,
-    "word": cmd_word,
-}
-
-
 def main(argv=None) -> int:
     # Exact counts outgrow Python's int <-> str digit limit (4300 by
     # default) inside EXACT_CEILING, e.g. P(12, n) from n = 1998.  The limit
@@ -319,7 +312,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "cache_dir" in args:  # compute and table: the flag wins over the environment
             args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

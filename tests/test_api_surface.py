@@ -2,8 +2,12 @@
 
 Every public module-level def and class in src/pericatalan must be named
 somewhere in src/, scripts/ or perfbench/ outside its own definition.
-The re-export in pericatalan/__init__.py does not count.  This reads
-names only: it cannot see methods, attributes or properties.
+The re-export in pericatalan/__init__.py does not count.
+
+Every public method or property of a public class (dunders are exempt)
+must be read as an attribute somewhere in src/, scripts/ or perfbench/
+outside its own body.  Attributes are matched by name alone, so a read
+of another attribute of the same name counts too.
 
 Every parameter with a default of a public function, or of a public
 method of a public class, must be passed by some call of that name in
@@ -67,6 +71,42 @@ def test_every_public_definition_has_a_non_test_caller():
     uses = _references()
     unused = [f"{path}: {name}" for path, name in _public_definitions() if name not in uses]
     assert not unused, "public API that only tests use:\n" + "\n".join(unused)
+
+
+def _public_methods():
+    # (path, class, method) of every public method or property of a public class
+    for path in _sources(os.path.join("src", "pericatalan")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                        yield os.path.relpath(path, ROOT), node.name, f.name
+
+
+def _attribute_reads():
+    # (attribute name, (path, class, method) of the method of a
+    # module-level class whose body reads it, or None elsewhere)
+    for path in _sources(os.path.join("src", "pericatalan"), "scripts", "perfbench"):
+        rel = os.path.relpath(path, ROOT)
+        for node in _parse(path).body:
+            owned = set()
+            if isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        for sub in ast.walk(f):
+                            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                                owned.add(id(sub))
+                                yield sub.attr, (rel, node.name, f.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and id(sub) not in owned:
+                    yield sub.attr, None
+
+
+def test_every_public_method_has_a_non_test_caller():
+    reads = set(_attribute_reads())
+    unused = [f"{path}: {cls}.{name}" for path, cls, name in _public_methods()
+              if not any(attr == name and owner != (path, cls, name) for attr, owner in reads)]
+    assert not unused, "public methods and properties that only tests read:\n" + "\n".join(unused)
 
 
 def _call_name(call):

@@ -23,13 +23,13 @@ from pericatalan.errors import DomainError, ResourceGuardError, StabilityError
 def test_base_cases():
     for s in (1, 2, 5):
         t = log_peri_table(s, 4)
-        assert t.log_value(1) == math.log(s)
-        assert abs(t.log_value(2) - math.log(3 * s * s)) < 1e-14
+        assert float(t.values[1]) == math.log(s)
+        assert abs(float(t.values[2]) - math.log(3 * s * s)) < 1e-14
 
 
 def test_log_value_spot():
     t = log_peri_table(1, 8)
-    assert abs(t.log_value(5) - math.log(666)) < 1e-12
+    assert abs(float(t.values[5]) - math.log(666)) < 1e-12
 
 
 def test_matches_exact_small():
@@ -38,7 +38,7 @@ def test_matches_exact_small():
         t = log_peri_table(s, 60)
         for n in range(1, 61):
             target = math.log(exact[n])
-            assert abs(t.log_value(n) - target) <= 1e-10 * max(target, 1.0)
+            assert abs(float(t.values[n]) - target) <= 1e-10 * max(target, 1.0)
 
 
 def test_log_bound_matches_exact_bound():
@@ -53,10 +53,6 @@ def test_table_is_immutable_and_range_checked():
     t = log_peri_table(2, 6)
     with pytest.raises(ValueError):
         t.values[3] = 0.0
-    with pytest.raises(DomainError):
-        t.log_value(0)
-    with pytest.raises(DomainError):
-        t.log_value(7)
     with pytest.raises(DomainError):
         log_peri_table(0, 5)
     with pytest.raises(DomainError):
@@ -99,7 +95,7 @@ def test_rho_grid_matches_exact(s):
     # the half-sum logsumexp over those ratios, against the exact log
     for n in range(2, 61):
         want = math.log(exact[n])
-        assert abs(t.log_value(n) - want) <= 1e-14 * want, (n, t.log_value(n), want)
+        assert abs(float(t.values[n]) - want) <= 1e-14 * want, (n, float(t.values[n]), want)
 
 
 @pytest.mark.parametrize("n_max", [12, 13, 60])
@@ -125,7 +121,7 @@ def test_log_matches_verifier_to_1000():
     t = log_peri_table(1, 1000)
     for n, p in enumerate(memo["p"][2:], start=2):
         want = math.log(p)
-        assert abs(t.log_value(n) - want) <= 1e-14 * want, (n, t.log_value(n), want)
+        assert abs(float(t.values[n]) - want) <= 1e-14 * want, (n, float(t.values[n]), want)
 
 
 def full_row_table(s, n_max):
@@ -302,12 +298,15 @@ def test_regression_matches_polyfit():
     x = rng.normal(size=40)
     y = 3.2 * x - 0.7 + rng.normal(scale=0.3, size=40)
     reg = linear_regression(list(zip(x, y)))
+    assert linear_regression(np.column_stack((x, y))) == reg
     ref_slope, ref_intercept = np.polyfit(x, y, 1)
     assert abs(reg.slope - ref_slope) < 1e-10
     assert abs(reg.intercept - ref_intercept) < 1e-10
 
 
 def test_regression_degenerate():
+    with pytest.raises(DomainError, match="got 0"):
+        linear_regression([])
     with pytest.raises(DomainError):
         linear_regression([(1.0, 2.0)])
     with pytest.raises(DomainError):
@@ -317,8 +316,11 @@ def test_regression_degenerate():
 def test_regression_points_range_checks():
     t = log_peri_table(2, 20)
     pts = regression_points(t, 5, 20)
+    assert pts.dtype == np.float64 and pts.shape == (16, 2)
     assert pts[0][0] == 5 and pts[-1][0] == 20
-    assert pts[3][1] == t.log_value(8) - t.log_catalan(8)
+    assert pts[3][1] == float(t.values[8]) - float(t.catalan_values[8])
+    # the per-point series, one n at a time
+    assert np.array_equal(pts, [(n, float(t.values[n]) - float(t.catalan_values[n])) for n in range(5, 21)])
     with pytest.raises(DomainError):
         regression_points(t, 1, 10)
     with pytest.raises(DomainError):
@@ -328,12 +330,15 @@ def test_regression_points_range_checks():
 def test_rational_fit_exact_model():
     pts = [(s, 0.02 / (s - 0.5)) for s in range(1, 11)]
     fit = rational_fit(pts)
+    assert rational_fit(np.array(pts)) == fit
     assert abs(fit.a - 0.02) < 1e-14
     assert abs(fit.b - 0.5) < 1e-12
     assert fit.residual_stderr < 1e-9
 
 
 def test_rational_fit_rejects_bad_input():
+    with pytest.raises(DomainError, match="got 0"):
+        rational_fit([])
     with pytest.raises(DomainError):
         rational_fit([(1, 0.5)])
     with pytest.raises(DomainError):
@@ -347,8 +352,8 @@ def test_quotient_rows_match_methods():
     series = quotient_series(t)
     assert all(a.shape == (9,) for a in series)
     for n, lv, lb, q in zip(*(a.tolist() for a in series)):
-        assert lv == t.log_value(n)
-        assert lb == t.log_catalan(n) + n * math.log(9) - math.log(3)
+        assert lv == float(t.values[n])
+        assert lb == float(t.catalan_values[n]) + n * math.log(9) - math.log(3)
         assert q == quotient(3, n, t)
     n, _, _, q = quotient_series(t, 7)
     assert n.tolist() == [7, 8, 9, 10] and q.tolist() == [quotient(3, k, t) for k in range(7, 11)]

@@ -127,7 +127,7 @@ def _quotient_reference(s, n_max):
     # ln P, ln(3^(n-1) s^n C_n) and quotient() for n = 2 .. n_max
     t = asymptotics.log_peri_table(s, n_max)
     return [
-        (n, t.log_value(n), t.log_catalan(n) + n * math.log(3 * s) - math.log(3), asymptotics.quotient(s, n, t))
+        (n, float(t.values[n]), float(t.catalan_values[n]) + n * math.log(3 * s) - math.log(3), asymptotics.quotient(s, n, t))
         for n in range(2, n_max + 1)
     ]
 
@@ -288,6 +288,30 @@ def test_regress_json(capsys):
     assert payload["s"] == 2
     assert 0 < payload["slope"] < math.log(6)
     assert payload["ln_3s"] == math.log(6)
+
+
+def test_regress_bytes_every_format(capsys):
+    # the regression over a per-point series, read one n at a time
+    t = asymptotics.log_peri_table(3, 60)
+    reg = asymptotics.linear_regression([(n, float(t.values[n]) - float(t.catalan_values[n])) for n in range(2, 61)])
+    argv = ("regress", "--s", "3", "--n-min", "2", "--n-max", "60")
+    _, text, _ = run(capsys, *argv)
+    assert text == (
+        "series (n, ln P - ln C_n) for s=3, n in [2, 60]\n"
+        f"slope            = {reg.slope:.6g}\n"
+        f"  vs 3.576       : {reg.slope - 3.576:+.6g}\n"
+        f"  vs ln(3s)      : {reg.slope - math.log(9):+.6g}  (ln 9 = {math.log(9):.6g})\n"
+        f"intercept        = {reg.intercept:.6g}\n"
+        f"  vs -1.102      : {reg.intercept + 1.102:+.6g}\n"
+        f"  vs -ln 3       : {reg.intercept + math.log(3):+.6g}  (-ln 3 = {-math.log(3):.6g})\n"
+        f"residual stderr  = {reg.residual_stderr:.6g}\n"
+    )
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps({
+        "s": 3, "n_min": 2, "n_max": 60,
+        "slope": reg.slope, "intercept": reg.intercept, "residual_stderr": reg.residual_stderr,
+        "ref_slope": 3.576, "ln_3s": math.log(9), "ref_intercept": -1.102, "minus_ln_3": -math.log(3),
+    }, indent=2) + "\n"
 
 
 def test_fit_csv_series(capsys):

@@ -34,6 +34,22 @@ def test_growth_experiments_bad_s_list(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_growth_experiments_small_n_max(tmp_path):
+    # the derived --n-min of regress was n_max // 4 = 1 here, below its floor of 2
+    proc = run_script("growth_experiments.py", "--n-max", "7", "--s-max", "3", "--proxy-n", "50", "--s-list", "1",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["fit.json", "quotient-s1.csv", "regression.txt"]
+    assert "n in [2, 7]" in (tmp_path / "regression.txt").read_text()
+
+
+def test_growth_experiments_n_max_too_small(tmp_path):
+    proc = run_script("growth_experiments.py", "--n-max", "2", "--out-dir", str(tmp_path))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert "--n-max must be at least 3, got 2" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_first_ten_table():
     proc = run_script("first_ten_table.py")
     assert proc.returncode == 0, proc.stderr
@@ -123,9 +139,10 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     assert bench_save.main(argv, runner=runner) == 0
     seeds = bench_save.tag_seeds("t", 3)
     assert seeds == list(range(seeds[0], seeds[0] + 3)) and seeds[0] >= 10_000
+    # round i runs every workload's pair on seed i before round i + 1
     order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
-    assert calls == [(side, w, seed) for w in ("exact_table", "log_growth")
-                     for seed, sides in zip(seeds, order) for side in sides]
+    assert calls == [(side, w, seed) for seed, sides in zip(seeds, order)
+                     for w in ("exact_table", "log_growth") for side in sides]
     assert [f.name for f in out.iterdir()] == ["BENCH_t.json"]  # no .pcat-* temp litter
     report = json.loads((out / "BENCH_t.json").read_text())
     parent = subprocess.run(["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True).stdout.strip()
