@@ -31,6 +31,12 @@ def main():
     args = ap.parse_args()
     if args.n_max < 3:
         ap.error(f"--n-max must be at least 3, got {args.n_max}")
+    if args.s_max < 2:
+        ap.error(f"--s-max must be at least 2, got {args.s_max}")
+    if args.proxy_n < 3:
+        ap.error(f"--proxy-n must be at least 3, got {args.proxy_n}")
+    if min(args.s_list) < 1:
+        ap.error(f"--s-list needs every s >= 1, got {min(args.s_list)}")
 
     if args.quick:
         args.n_max, args.s_max, args.proxy_n = 400, 20, 400

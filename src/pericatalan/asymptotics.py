@@ -17,27 +17,23 @@ n-k >= k of the ratios it has just computed in one max-shifted numpy
 logsumexp, off-diagonal terms weighted 2 and the diagonal (even n) 1.
 This is deterministic for a fixed numpy build.
 
-Most ratios of a row are exactly 1.0 and are written as a fill, not
-computed.  With g the smallest step l_{j+1} - l_j so far, every ratio
+Most ratios of a row are exactly 1.0 and are neither computed nor
+stored.  With g the smallest step l_{j+1} - l_j so far, every ratio
 with lo > width = int(40 / g) + 1 has l_hi - l_d >= lo g > 40, so
 t = rho * exp(l_d - l_hi) < e^-40 < 2^-54 and 1 - t == 1.0 in double
 precision.  Only the last width ratios of a row (about 12 at s = 12,
-37 at s = 1) go through the gather, the exp and the (0, 1] check; the
-exp of the skipped ones would underflow, which is slow on some CPUs.
-The logsumexp still runs over the whole row, so every l and every rho
-is bit-identical to computing the row in full.  A NaN or non-positive
-step turns the skip off for the rest of the table.  ln C_n is computed
-once for the longest table so far; shorter tables get read-only views.
+37 at s = 1) are computed; the exp of the others would underflow, which
+is slow on some CPUs.  Their logsumexp terms start at log(1.0) = 0.0,
+so every l is bit-identical to computing the row in full.  A NaN or
+non-positive step turns the skip off for the rest of the table.  ln C_n
+is computed once for the longest table so far; shorter tables get
+read-only views.
 
-rho is stored on canonical pairs only, packed by pair sum into one flat
-array of n_max^2 // 4 doubles: row d holds rho(a, d - a) for
-a = ceil(d/2) .. d-1 and starts at (d-1)^2 // 4.  Row n is written as
-one contiguous slice, and every l operand of its step is a slice of l:
-l_hi is l[h0:n], l_lo its reverse and l_d (d = 2 hi - n) a stride-2
-slice.  The one gather reads rho(max(d, lo), min(d, lo)).  The even-n
-diagonal (d = 0) multiplies that read by exp(l_0 - l_hi) = 0, so it only
-needs a finite value there, not a boundary row.  Tables past
-n = LOG_CEILING are refused: the store would outgrow memory.
+rho is kept in a band, band[d, b] = rho(d - b, b), whose columns grow
+geometrically past the widest row; everything off it is 1.0.  Row n's
+tail is band[n, width:0:-1], every l operand of its step is a slice of
+l, and the one gather reads band[hi, min(d, lo)] (d = 2 hi - n).  The
+even-n diagonal reads column 0 through a factor exp(l_0 - l_hi) = 0.
 
 Also here: the normalized growth quotient l_n / ln(bound) as one array
 series, its complement the cancelation defect, ordinary least squares,
@@ -56,7 +52,9 @@ from .errors import DomainError, ResourceGuardError, StabilityError
 
 _LOG3 = math.log(3.0)
 
-LOG_CEILING = 10_000  # largest n_max of a log table: a 0.2 GB ratio store (n^2/4 doubles)
+# largest n_max of a log table.  The band is (n + 1)(W + 1) doubles, under
+# 6 MB at s = 1; with the skip off, (n + 1)(n // 2 + 1): 0.4 GB here.
+LOG_CEILING = 10_000
 
 
 _CUT = 40.0  # exp(-40) < 2^-54: 1 - t rounds to exactly 1.0 below it
@@ -97,12 +95,9 @@ class LogTable:
 
 @dataclass(frozen=True)
 class RhoMemo:
-    """Cancelation ratios rho(a, b) on canonical pairs a >= b >= 1 with
-    a + b <= n_max, packed by pair sum: row d holds rho(a, d - a) for
-    a = ceil(d/2) .. d-1 and starts at grid[(d-1)^2 // 4], so rho(a, b)
-    is grid[(d-1)^2 // 4 + a - ceil(d/2)] with d = a + b."""
+    """Cancelation ratios on canonical pairs a >= b: rho(a, b) is
+    grid[a + b, b], and exactly 1.0 for b past the band's columns."""
 
-    n_max: int
     grid: np.ndarray
 
 
@@ -115,16 +110,14 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
     if n_max > LOG_CEILING:
         raise ResourceGuardError(
             f"log table past n={LOG_CEILING} refused (requested n={n_max}: "
-            f"a {n_max * n_max // 4 * 8 / 1e9:.1f} GB ratio store)"
+            f"a ratio band of up to {(n_max + 1) * (n_max // 2 + 1) * 8 / 1e9:.1f} GB)"
         )
     lc = _log_catalan_array(n_max)
     lp = np.empty(n_max + 1)
     lp[0] = -math.inf
     lp[1] = math.log(s)
-    grid = np.empty(n_max * n_max // 4)
-    grid[0] = 1.0  # rho(1, 1): n = 2 reads it as its diagonal's rho(1, 0)
+    band = np.ones((n_max + 1, 2))  # band[d, b] = rho(d - b, b); 1.0 where not computed
     idx = np.arange(n_max + 1)
-    base = (idx - 1) ** 2 // 4 - (idx + 1) // 2  # rho(a, d - a) is grid[base[d] + a]
     g = math.inf  # smallest step lp[j+1] - lp[j] so far; not > 0 turns the skip off
     for n in range(2, n_max + 1):
         # hi = h0 .. n-1 ascending, lo = n - hi descending, d = hi - lo = 2 hi - n
@@ -132,23 +125,24 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         m = n - h0
         # only lo <= width can give rho < 1; the entries before are exactly 1.0
         width = min(m, int(_CUT / g) + 1) if g * m > _CUT else m
+        cols = band.shape[1]
+        if width >= cols:  # doubling: one column per row would cost O(n^3) with the skip off
+            grown = np.ones((n_max + 1, min(max(width + 1, 2 * cols), n_max // 2 + 1)))
+            grown[:, :cols] = band
+            band = grown
         c0 = n - width  # the first hi computed; d0 its d
         d0 = 2 * c0 - n
-        row = (n - 1) ** 2 // 4
-        cut = row + m - width
-        grid[row:cut] = 1.0
         lo = idx[width:0:-1]
-        at = np.maximum(idx[d0:n - 1:2], lo)
-        at += base[c0:n]
         t = np.exp(lp[d0:n - 1:2] - lp[c0:n])
-        t *= grid[at]  # rho(max(d, lo), min(d, lo))
-        tail = np.subtract(1.0, t, out=grid[cut:row + m])  # at most 1: t >= 0
+        t *= band[idx[c0:n], np.minimum(idx[d0:n - 1:2], lo)]  # rho(max(d, lo), min(d, lo))
+        tail = np.subtract(1.0, t, out=band[n, width:0:-1])  # at most 1: t >= 0
         if not tail.min() > 0.0:
             i = int(np.argmax(~(tail > 0.0)))
             raise StabilityError(
                 f"cancelation ratio not in (0, 1] at s={s}, n={n}, k={int(lo[i])}: rho={tail[i]!r}"
             )
-        terms = np.log(grid[row:row + m])
+        terms = np.zeros(m)
+        np.log(tail, out=terms[m - width:])
         terms += lp[h0:n]
         terms += lp[m:0:-1]
         top = terms.max()
@@ -161,10 +155,10 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         if g > 0.0 and not step >= g:  # a NaN or non-positive step sticks
             g = step
     lp.setflags(write=False)
-    grid.setflags(write=False)
+    band.setflags(write=False)
     table = LogTable(s=s, values=lp, catalan_values=lc)
     if with_rho:
-        return table, RhoMemo(n_max=n_max, grid=grid)
+        return table, RhoMemo(grid=band)
     return table
 
 

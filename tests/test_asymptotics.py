@@ -60,15 +60,15 @@ def test_table_is_immutable_and_range_checked():
 
 
 def rho_at(rho, a, b):
-    # rho(a, b) read from the packed layout in RhoMemo's docstring
-    hi, lo = (a, b) if a >= b else (b, a)
-    d = hi + lo
-    return float(rho.grid[(d - 1) ** 2 // 4 + hi - (d + 1) // 2])
+    # rho(a, b) read from the band in RhoMemo's docstring: 1.0 past its columns
+    lo = min(a, b)
+    return float(rho.grid[a + b, lo]) if lo < rho.grid.shape[1] else 1.0
 
 
 def rho_entries(rho):
-    # every stored ((a, b), rho(a, b)), a >= b, by pair sum then a
-    return [((a, d - a), rho_at(rho, a, d - a)) for d in range(2, rho.n_max + 1) for a in range((d + 1) // 2, d)]
+    # every canonical ((a, b), rho(a, b)), a >= b, by pair sum then a
+    n_max = rho.grid.shape[0] - 1
+    return [((a, d - a), rho_at(rho, a, d - a)) for d in range(2, n_max + 1) for a in range((d + 1) // 2, d)]
 
 
 def test_rho_properties():
@@ -99,11 +99,24 @@ def test_rho_grid_matches_exact(s):
 
 
 @pytest.mark.parametrize("n_max", [12, 13, 60])
-def test_rho_store_is_packed(n_max):
+def test_rho_store_is_a_band(n_max):
     _, rho = log_peri_table(3, n_max, with_rho=True)
     assert rho.grid.dtype == np.float64
-    assert rho.grid.shape == (n_max**2 // 4,)
-    assert len(rho_entries(rho)) == rho.grid.size
+    assert rho.grid.shape[0] == n_max + 1 and 2 <= rho.grid.shape[1] <= n_max // 2 + 1
+    assert not hasattr(rho, "n_max")
+    # column 0 and the non-canonical b > d / 2 are never written
+    d, b = np.indices(rho.grid.shape)
+    assert np.all(rho.grid[(b == 0) | (2 * b > d)] == 1.0)
+
+
+def test_rho_band_stays_small_at_the_ceiling():
+    # the packed triangle of n^2/4 doubles took 200 MB here
+    t, rho = log_peri_table(1, 10_000, with_rho=True)
+    assert rho.grid.nbytes < 6e6
+    # the widest computed row is the last: g is the smallest step before it
+    g = np.diff(t.values[1:-1]).min()
+    widest = min(10_000 // 2, int(asymptotics._CUT / g) + 1)
+    assert rho.grid.shape[1] <= 2 * widest + 1
 
 
 def test_rho_diagonal_is_one():
@@ -125,26 +138,21 @@ def test_log_matches_verifier_to_1000():
 
 
 def full_row_table(s, n_max):
-    """(lp, packed rho) computing every ratio of every row: the engine's
-    step before it wrote the provably-1.0 prefix of a row as a fill."""
+    """(lp, full-width band) computing every ratio of every row: the
+    engine's step before it skipped the provably-1.0 prefix of a row."""
     lp = np.empty(n_max + 1)
     lp[0] = -math.inf
     lp[1] = math.log(s)
-    grid = np.empty(n_max * n_max // 4)
-    grid[0] = 1.0
+    band = np.ones((n_max + 1, n_max // 2 + 1))
     idx = np.arange(n_max + 1)
-    base = (idx - 1) ** 2 // 4 - (idx + 1) // 2
     for n in range(2, n_max + 1):
         h0 = (n + 1) // 2
         m = n - h0
         lo = idx[m:0:-1]
         lp_hi = lp[h0:n]
-        at = np.maximum(idx[n % 2:n - 1:2], lo)
-        at += base[h0:n]
         t = np.exp(lp[n % 2:n - 1:2] - lp_hi)
-        t *= grid[at]
-        row = (n - 1) ** 2 // 4
-        vals = np.subtract(1.0, t, out=grid[row:row + m])
+        t *= band[idx[h0:n], np.minimum(idx[n % 2:n - 1:2], lo)]
+        vals = np.subtract(1.0, t, out=band[n, m:0:-1])
         if not vals.min() > 0.0:
             i = int(np.argmax(~(vals > 0.0)))
             raise StabilityError(
@@ -159,7 +167,14 @@ def full_row_table(s, n_max):
         if n % 2 == 0:
             w[0] *= 0.5
         lp[n] = asymptotics._LOG3 + top + math.log(2.0 * w.sum())
-    return lp, grid
+    return lp, band
+
+
+def assert_band_matches(rho, full):
+    # the engine's band is the reference's first columns; the rest is 1.0
+    cols = rho.grid.shape[1]
+    assert np.array_equal(rho.grid, full[:, :cols])
+    assert np.all(full[:, cols:] == 1.0)
 
 
 @pytest.mark.parametrize("s, n_maxes", [
@@ -169,22 +184,26 @@ def full_row_table(s, n_max):
 def test_skipped_prefix_is_bit_identical(s, n_maxes):
     for n_max in n_maxes:
         t, rho = log_peri_table(s, n_max, with_rho=True)
-        lp, grid = full_row_table(s, n_max)
+        lp, full = full_row_table(s, n_max)
         assert np.array_equal(t.values, lp), (s, n_max)
-        assert np.array_equal(rho.grid, grid), (s, n_max)
+        assert_band_matches(rho, full)
 
 
 @pytest.mark.parametrize("log3", [-0.3, -0.5])
 def test_skip_off_after_a_nonpositive_step(monkeypatch, log3):
     # a wrong ln 3 at s = 2 makes the step l_3 - l_2 negative.  A cut of 1
     # would skip ratios that are not 1.0, so the rows match the full
-    # computation bit for bit only if that step turned the skip off.
+    # computation bit for bit only if that step turned the skip off.  At
+    # n = 2000 the band widens to whole rows over many reallocations.
     monkeypatch.setattr(asymptotics, "_LOG3", log3)
     monkeypatch.setattr(asymptotics, "_CUT", 1.0)
-    t, rho = log_peri_table(2, 200, with_rho=True)
-    assert not np.diff(t.values[1:]).min() > 0.0
-    lp, grid = full_row_table(2, 200)
-    assert np.array_equal(t.values, lp) and np.array_equal(rho.grid, grid)
+    for n_max in (200, 2000):
+        t, rho = log_peri_table(2, n_max, with_rho=True)
+        assert not np.diff(t.values[1:]).min() > 0.0
+        assert rho.grid.shape[1] == n_max // 2 + 1
+        lp, full = full_row_table(2, n_max)
+        assert np.array_equal(t.values, lp), n_max
+        assert_band_matches(rho, full)
 
 
 def test_stability_error_names_n_and_k(monkeypatch):

@@ -44,10 +44,17 @@ def test_growth_experiments_small_n_max(tmp_path):
 
 
 def test_growth_experiments_n_max_too_small(tmp_path):
-    proc = run_script("growth_experiments.py", "--n-max", "2", "--out-dir", str(tmp_path))
-    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
-    assert "--n-max must be at least 3, got 2" in proc.stderr
-    assert list(tmp_path.iterdir()) == []
+    # each range that a pcat call would refuse is refused before the first call
+    for args, message in [
+        (("--n-max", "2"), "--n-max must be at least 3, got 2"),
+        (("--s-max", "1"), "--s-max must be at least 2, got 1"),
+        (("--proxy-n", "2"), "--proxy-n must be at least 3, got 2"),
+        (("--s-list", "1,0"), "--s-list needs every s >= 1, got 0"),
+    ]:
+        proc = run_script("growth_experiments.py", *args, "--out-dir", str(tmp_path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, (args, proc.stderr)
+        assert message in proc.stderr, args
+        assert list(tmp_path.iterdir()) == [], args
 
 
 def test_first_ten_table():
