@@ -3,23 +3,25 @@
 
     python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b]
 
-Measures the working tree against REV in alternating pairs.  REV is
-checked out with `git worktree add --detach` into a temporary directory
-outside the repository, which is removed however the script ends; if
-perfbench/ or BENCHMARK.json differ between the two trees the script
-exits 2 before any run, since both sides must run one benchmark.  Each
-tree runs its own benchmark command of BENCHMARK.json (perfbench/run.py)
-with itself as the working directory, so each imports its own src/, and
-with the run length given there.  The pairs run in rounds: round i runs
+Measures HEAD against REV in alternating pairs.  Both revisions are
+resolved to commits before anything runs (a bad one exits 2), and if
+perfbench/ or BENCHMARK.json differ between the two commits the script
+exits 2 before any run, since both sides must run one benchmark.  Both
+commits are checked out with `git worktree add --detach` into one
+temporary directory outside the repository, which is removed however
+the script ends, so uncommitted edits are never measured: commit first,
+then run --against HEAD~1.  Each side runs the benchmark command of
+BENCHMARK.json (perfbench/run.py) with its own checkout as the working
+directory, so each imports its own src/, and with the run length read
+from HEAD's BENCHMARK.json.  The pairs run in rounds: round i runs
 the pair of every workload in turn, both sides on seed i, derived from
 the tag, before round i + 1 starts, so a spell of machine load is
 spread over the workloads instead of landing on one.  The parent runs
 first in even rounds and the change first in odd ones.
 
 The file, written at the repository root or under --out-dir, records
-the commit measured (`git rev-parse HEAD` and whether tracked files had
-uncommitted changes, read before the runs), REV and its commit, the
-machine, the seeds and the run length.  Per workload it holds every
+the two commits that ran (HEAD's as `commit`, REV's under `against`),
+the machine, the seeds and the run length.  Per workload it holds every
 pair; per side the ops attempted and failed and, per end-to-end metric,
 the median and the quartiles (statistics.quantiles(values, n=4)); and
 per metric the median paired ratio change/parent, the pairs the change
@@ -68,16 +70,6 @@ def aggregate(runs: list, metrics: list) -> dict:
     }
 
 
-def commit() -> dict:
-    def git(*args):
-        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    head = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain", "--untracked-files=no")
-    return {"commit": head, "dirty": bool(status) if status is not None else None}
-
-
 def run_in(tree: str, spec: dict, workload: str, seed: int) -> dict:
     """One untraced run of tree's own benchmark command, from tree."""
     cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
@@ -92,19 +84,6 @@ def tag_seeds(tag: str, k: int) -> list[int]:
     # Past the small seeds of earlier hand-run pairs, and fixed by the tag.
     base = 10_000 + int.from_bytes(sha256(tag.encode()).digest()[:3], "big")
     return list(range(base, base + k))
-
-
-def bench_files(tree: str) -> dict:
-    """BENCHMARK.json and every file under perfbench/ but bytecode, by path."""
-    files = {}
-    paths = [os.path.join(tree, "BENCHMARK.json")]
-    for dirpath, dirnames, filenames in os.walk(os.path.join(tree, "perfbench")):
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        paths += [os.path.join(dirpath, name) for name in filenames]
-    for path in paths:
-        with open(path, "rb") as fh:
-            files[os.path.relpath(path, tree)] = fh.read()
-    return files
 
 
 def compare(parent: list, change: list, metrics: list) -> dict:
@@ -129,22 +108,26 @@ def compare(parent: list, change: list, metrics: list) -> dict:
     return rows
 
 
+def git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
 def paired(args, spec: dict, workloads: list, runner) -> int:
-    measured = commit()  # before the runs, which may outlast edits to the tree
-    workdir = tempfile.mkdtemp(prefix="pcat-bench-")
-    tree = os.path.join(workdir, "parent")
-    try:
-        proc = subprocess.run(["git", "worktree", "add", "--detach", tree, args.against],
-                              cwd=ROOT, capture_output=True, text=True)
+    commits = {}  # resolved once, before the runs, which may outlast a move of HEAD
+    for side, rev in (("parent", args.against), ("change", "HEAD")):
+        proc = git("rev-parse", "--verify", f"{rev}^{{commit}}")
         if proc.returncode != 0:
-            print(f"error: cannot check out {args.against}: {proc.stderr.strip()}", file=sys.stderr)
+            print(f"error: cannot check out {rev}: {proc.stderr.strip()}", file=sys.stderr)
             return 2
-        if bench_files(tree) != bench_files(ROOT):
-            print(f"error: perfbench/ or BENCHMARK.json differ between {args.against} and the working tree",
-                  file=sys.stderr)
-            return 2
-        against = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True).stdout.strip()
-        trees = {"parent": tree, "change": ROOT}
+        commits[side] = proc.stdout.strip()
+    if git("diff", "--quiet", commits["parent"], commits["change"], "--", "perfbench", "BENCHMARK.json").returncode:
+        print(f"error: perfbench/ or BENCHMARK.json differ between {args.against} and HEAD", file=sys.stderr)
+        return 2
+    workdir = tempfile.mkdtemp(prefix="pcat-bench-")
+    trees = {side: os.path.join(workdir, side) for side in commits}
+    try:
+        for side, sha in commits.items():
+            git("worktree", "add", "--detach", trees[side], sha).check_returncode()
         seeds = tag_seeds(args.tag, args.pairs)
         runs = {workload: {"parent": [], "change": []} for workload in workloads}
         pairs = {workload: [] for workload in workloads}
@@ -168,11 +151,11 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)  # drops REV's worktree entry
+        git("worktree", "prune")  # drops the entries of both worktrees
     report = {
         "tag": args.tag,
-        **measured,
-        "against": {"rev": args.against, "commit": against},
+        "commit": commits["change"],
+        "against": {"rev": args.against, "commit": commits["parent"]},
         "machine": spread.machine(),
         "seeds": seeds,
         "run_seconds": spec["run_seconds"],
@@ -185,8 +168,7 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
 
 
 def main(argv=None, runner=run_in) -> int:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = json.loads(subprocess.check_output(["git", "show", "HEAD:BENCHMARK.json"], cwd=ROOT, text=True))
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True)

@@ -7,8 +7,12 @@ Writes, under --out-dir:
   fit.json            pcat fit --format json: the defect series at the
                       proxy depth, s = 1..--s-max, and its fit a / (s - b)
 
---quick shrinks every range to a seconds-scale smoke run.  A pcat call
-that fails ends the run with its exit code.
+A range that a pcat call would refuse is refused before the first call:
+exit 2 for a range below a call's floor, and exit 4 (pcat's guard code,
+"refused: ...") for --n-max or --proxy-n past the log-table ceiling
+asymptotics.LOG_CEILING, so no partial output is written.  A pcat call
+that fails all the same ends the run with its exit code.  For a
+seconds-scale smoke run pass --n-max 400 --s-max 20 --proxy-n 400.
 """
 
 import argparse
@@ -17,7 +21,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pericatalan import cli
+from pericatalan import asymptotics, cli
 
 
 def main():
@@ -27,7 +31,6 @@ def main():
     ap.add_argument("--n-max", type=int, default=2800, help="depth of each quotient series")
     ap.add_argument("--s-max", type=int, default=100, help="defect series runs s = 1..s_max")
     ap.add_argument("--proxy-n", type=int, default=2000, help="depth standing in for the n limit")
-    ap.add_argument("--quick", action="store_true", help="small ranges, a few seconds total")
     args = ap.parse_args()
     if args.n_max < 3:
         ap.error(f"--n-max must be at least 3, got {args.n_max}")
@@ -37,9 +40,11 @@ def main():
         ap.error(f"--proxy-n must be at least 3, got {args.proxy_n}")
     if min(args.s_list) < 1:
         ap.error(f"--s-list needs every s >= 1, got {min(args.s_list)}")
+    for flag, n in (("--n-max", args.n_max), ("--proxy-n", args.proxy_n)):
+        if n > asymptotics.LOG_CEILING:
+            print(f"refused: {flag} {n} is past the log-table ceiling n={asymptotics.LOG_CEILING}", file=sys.stderr)
+            sys.exit(cli.EXIT_GUARD)
 
-    if args.quick:
-        args.n_max, args.s_max, args.proxy_n = 400, 20, 400
     reg_s = 12 if 12 in args.s_list else args.s_list[-1]
     calls = [(f"quotient-s{s}.csv", ["quotient", "--s", str(s), "--n-max", str(args.n_max)]) for s in args.s_list]
     calls.append(("regression.txt", ["regress", "--s", str(reg_s), "--n-min", str(max(2, min(100, args.n_max // 4))),

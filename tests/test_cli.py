@@ -250,6 +250,25 @@ def test_oracle_rooted_excludes_n_and_n_max(capsys, span):
     assert exc.value.code == 2 and captured.out == "" and "not allowed with argument" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--s-list", "1", "--n-max", "0"], "table needs n_max >= 1, got 0"),
+    (["table", "--s-list", "-1", "--n-max", "3"], "table needs s >= 0, got (-1,)"),
+    (["oracle", "--s", "0", "--n", "3"], "oracle needs s >= 1, got 0"),
+    (["quotient", "--s", "0", "--n-max", "5"], "quotient needs s >= 1, got 0"),
+    (["quotient", "--s", "1", "--n-max", "1"], "quotient needs n_max >= 2, got 1"),
+    (["regress", "--s", "0"], "regress needs s >= 1, got 0"),
+    (["fit", "--s-max", "1"], "fit needs s_max >= 2, got 1"),
+    (["oracle", "--s", "1", "--rooted", "1,2,3"], "expected two comma-separated integers, got '1,2,3'"),
+])
+def test_out_of_domain_arguments_exit_two(capsys, argv, message):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # a malformed value is refused by argparse itself
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and message in captured.err
+
+
 def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(freewords, "count_reduced", lambda s, n, **kw: 0)
     rc, out, _ = run(capsys, "oracle", "--s", "1", "--n", "3")

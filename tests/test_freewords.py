@@ -304,6 +304,7 @@ def test_parse_generator_bound():
         ("((a*b)\\\\c)", "position 8"),
         ("(a@b)", "position 3"),
         ("(b*a\u00b2)", "position 4"),
+        ("(b1*a)", "unknown generator 'b1' at position 2"),
     ],
 )
 def test_parse_errors_carry_position(text, where):

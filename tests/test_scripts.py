@@ -16,7 +16,8 @@ def run_script(name, *args):
 
 
 def test_growth_experiments_quick(tmp_path):
-    proc = run_script("growth_experiments.py", "--quick", "--out-dir", str(tmp_path))
+    proc = run_script("growth_experiments.py", "--n-max", "400", "--s-max", "20", "--proxy-n", "400",
+                      "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     names = [f"quotient-s{s}.csv" for s in (1, 3, 6, 12)]
     for name in names + ["regression.txt", "fit.json"]:
@@ -55,6 +56,18 @@ def test_growth_experiments_n_max_too_small(tmp_path):
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, (args, proc.stderr)
         assert message in proc.stderr, args
         assert list(tmp_path.iterdir()) == [], args
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--proxy-n"])
+def test_growth_experiments_past_the_log_ceiling(tmp_path, flag):
+    # refused with pcat's guard code before the quotient series are written
+    from pericatalan.asymptotics import LOG_CEILING
+
+    proc = run_script("growth_experiments.py", "--s-list", "1", "--n-max", "50", "--s-max", "3", "--proxy-n", "50",
+                      flag, str(LOG_CEILING + 1), "--out-dir", str(tmp_path))
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"refused: {flag} {LOG_CEILING + 1}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_first_ten_table():
@@ -128,8 +141,9 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     calls = []
 
     def runner(tree, spec, workload, seed):
-        side = "change" if tree == str(repo) else "parent"
-        assert _read_text(tree, "src", "code.py") == ("x = 2\n" if side == "change" else "x = 1\n")
+        # both sides run from checkouts outside the repository, told apart by their src/
+        assert not os.path.realpath(tree).startswith(os.path.realpath(repo))
+        side = {"x = 1\n": "parent", "x = 2\n": "change"}[_read_text(tree, "src", "code.py")]
         calls.append((side, workload, seed))
         i = sum(1 for c in calls if c[:2] == (side, workload)) - 1
         wall = [2.0, 2.2, 2.4][i] / (2 if side == "change" else 1)
@@ -155,7 +169,7 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     parent = subprocess.run(["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True).stdout.strip()
     assert report["against"] == {"rev": "HEAD~1", "commit": parent} and report["seeds"] == seeds
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True).stdout.strip()
-    assert (report["commit"], report["dirty"]) == (head, False)
+    assert report["commit"] == head and "dirty" not in report
     assert report["tag"] == "t" and report["run_seconds"] == 25 and report["machine"] == {"cpus": 2}
     assert list(report["workloads"]) == ["exact_table", "log_growth"]
     exact = report["workloads"]["exact_table"]
@@ -175,6 +189,30 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     assert (rss["median_ratio"], rss["wins"], rss["unresolved"], rss["gain"]) == (41.0 / 40.0, 0, False, False)
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
     assert not [p for p in repo.rglob(".pcat-*")]
+
+
+def test_bench_save_pairs_ignore_uncommitted_edits(tmp_path, monkeypatch):
+    # Only commits are measured: an edit left in the working tree, to src/
+    # or to the benchmark's run length, reaches no run and no spec.
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+    (repo / "src" / "code.py").write_text("x = 3\n")
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    (repo / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 1}))
+    seen = []
+
+    def runner(tree, spec, workload, seed):
+        seen.append((_read_text(tree, "src", "code.py"), json.loads(_read_text(tree, "BENCHMARK.json"))["run_seconds"],
+                     spec["run_seconds"]))
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--workloads", "log_growth", "--out-dir", str(tmp_path)]
+    assert bench_save.main(argv, runner=runner) == 0
+    assert sorted(seen) == [("x = 1\n", 25, 25)] * 2 + [("x = 2\n", 25, 25)] * 2
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True).stdout.strip()
+    assert report["commit"] == head and report["run_seconds"] == 25
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
 
 
 def test_bench_save_pairs_refuse_a_changed_benchmark(tmp_path, monkeypatch, capsys):
