@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     span.add_argument("--n", type=int, default=None)
     span.add_argument("--n-max", type=int, default=None)
     span.add_argument("--rooted", type=_int_pair, default=None, metavar="A,B", help="check the six rooted counts at split A,B")
-    p.add_argument("--budget", type=int, default=freewords.ENUM_BUDGET, help="candidate-tree budget")
-    p.add_argument("--max-length", type=int, default=freewords.MAX_ENUM_LENGTH, help="hard word-length limit")
     output(p)
     p.set_defaults(handler=cmd_oracle)
 
@@ -143,23 +141,20 @@ def _check_exact_ceiling(args, n):
         raise ResourceGuardError(f"exact mode past n={EXACT_CEILING} needs --force-exact (requested n={n})")
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[int, str]:
     if args.s < 0 or args.n < 0:
         raise DomainError(f"compute needs s >= 0 and n >= 0, got s={args.s} n={args.n}")
     if args.s == 0 or args.n == 0:
         _note(f"degenerate input s={args.s} n={args.n}: no such words, count is 0")
-        _emit(args.out, "0\n")
-        return EXIT_OK
+        return EXIT_OK, "0\n"
     if args.mode == "exact":
         _check_exact_ceiling(args, args.n)
-        _emit(args.out, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n")
-    else:
-        table = asymptotics.log_peri_table(args.s, max(args.n, 2))
-        _emit(args.out, f"{table.values[args.n]:.6g}\n")
-    return EXIT_OK
+        return EXIT_OK, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n"
+    table = asymptotics.log_peri_table(args.s, max(args.n, 2))
+    return EXIT_OK, f"{table.values[args.n]:.6g}\n"
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, str]:
     if args.n_max < 1:
         raise DomainError(f"table needs n_max >= 1, got {args.n_max}")
     if any(s < 0 for s in args.s_list):
@@ -179,39 +174,34 @@ def cmd_table(args) -> int:
         body = "".join(f"n={n:<4d} s={s:<4d} P={p:>{width}}\n" for n, s, p in rows)
     else:
         body = _render(args.fmt, ("n", "s", "P"), rows)
-    _emit(args.out, body)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[int, str]:
     if args.s < 1:
         raise DomainError(f"oracle needs s >= 1, got {args.s}")
     if args.rooted is not None:
         a, b = args.rooted
         # The oracle's guards refuse a large split before the formula runs.
-        counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op, max_length=args.max_length, budget=args.budget))
-                  for op in freewords.ALL_OPS]
+        counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op)) for op in freewords.ALL_OPS]
         expected = enumeration.aux_bivariate(args.s, a, b)
         checks = [(f"s={args.s} a={a} b={b} root={op.name}", got, expected) for op, got in counts]
     else:
         if args.n is None and (args.n_max is None or args.n_max < 1):
             raise DomainError(f"oracle needs --n, or --n-max >= 1 (got n_max={args.n_max})")
-        ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-        # The oracle's guards refuse a bad or large n before the formula runs.
-        counts = [freewords.count_reduced(args.s, n, max_length=args.max_length, budget=args.budget) for n in ns]
-        column = enumeration.build_table(args.s, max(ns)).values
-        checks = [(f"s={args.s} n={n}", got, column[n]) for n, got in zip(ns, counts)]
-    lines = []
-    ok = True
-    for label, got, expected in checks:
-        match = got == expected
-        ok = ok and match
-        lines.append(f"{label} oracle={got} formula={expected} {'ok' if match else 'MISMATCH'}\n")
-    _emit(args.out, "".join(lines))
-    return EXIT_OK if ok else EXIT_MISMATCH
+        ns = range(args.n, args.n + 1) if args.n is not None else range(1, args.n_max + 1)
+        # The oracle's guards refuse a bad or large n before the formula
+        # runs.  They grow with n, so the largest n is priced first and a
+        # refused span costs no brute-force work.
+        counts = {n: freewords.count_reduced(args.s, n) for n in reversed(ns)}
+        column = enumeration.build_table(args.s, ns[-1]).values
+        checks = [(f"s={args.s} n={n}", counts[n], column[n]) for n in ns]
+    text = "".join(f"{label} oracle={got} formula={want} {'ok' if got == want else 'MISMATCH'}\n"
+                   for label, got, want in checks)
+    return EXIT_OK if all(got == want for _, got, want in checks) else EXIT_MISMATCH, text
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> tuple[int, str]:
     if args.s < 1:
         raise DomainError(f"quotient needs s >= 1, got {args.s}")
     if args.n_max < 2:
@@ -222,11 +212,10 @@ def cmd_quotient(args) -> int:
         body = "".join(f"n={n:<5d} logP={lv:.6g} logBound={lb:.6g} quotient={q:.6g}\n" for n, lv, lb, q in rows)
     else:
         body = _render(args.fmt, ("n", "logP", "logBound", "quotient"), rows, lambda records: {"s": args.s, "rows": records})
-    _emit(args.out, body)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args) -> tuple[int, str]:
     if args.s < 1:
         raise DomainError(f"regress needs s >= 1, got {args.s}")
     table = asymptotics.log_peri_table(args.s, args.n_max)
@@ -251,11 +240,10 @@ def cmd_regress(args) -> int:
             f"  vs -ln 3       : {reg.intercept + math.log(3):+.6g}  (-ln 3 = {-math.log(3):.6g})\n"
             f"residual stderr  = {reg.residual_stderr:.6g}\n"
         )
-    _emit(args.out, body)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[int, str]:
     if args.s_max < 2:
         raise DomainError(f"fit needs s_max >= 2, got {args.s_max}")
     if args.proxy_n < 3:
@@ -279,11 +267,10 @@ def cmd_fit(args) -> int:
             "fit": {"a": fit.a, "b": fit.b, "residual_stderr": fit.residual_stderr},
             "ref_a": REF_FIT_A, "ref_b": REF_FIT_B, "golden_log": GOLDEN_LOG,
         })
-    _emit(args.out, body)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
-def cmd_word(args) -> int:
+def cmd_word(args) -> tuple[int, str]:
     tree = freewords.parse_word(args.word, args.s)
     reduced = freewords.is_reduced(tree)
     members = sorted(freewords.format_word(f) for f in freewords.nodal_class(tree)) if args.dump_class else None
@@ -296,8 +283,7 @@ def cmd_word(args) -> int:
         body = f"word: {freewords.format_word(tree)}\nreduced: {'true' if reduced else 'false'}\n"
         if members is not None:
             body += "".join(m + "\n" for m in members)
-    _emit(args.out, body)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
 def main(argv=None) -> int:
@@ -312,7 +298,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "cache_dir" in args:  # compute and table: the flag wins over the environment
             args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
-        return args.handler(args)
+        code, text = args.handler(args)
+        _emit(args.out, text)
+        return code
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

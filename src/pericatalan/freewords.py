@@ -105,14 +105,16 @@ def leaf_count(w) -> int:
     return leaf_count(w[1]) + leaf_count(w[2])
 
 
-def _guard_enum(s, n, max_length, budget):
+def _guard_enum(s, n):
+    # The limits are read here, at call time, so that setting
+    # MAX_ENUM_LENGTH or ENUM_BUDGET on the module moves every guard.
     if s < 1 or n < 1:
         raise DomainError(f"enumeration needs s >= 1 and n >= 1, got s={s} n={n}")
-    if n > max_length:
-        raise ResourceGuardError(f"word length {n} exceeds limit {max_length}")
+    if n > MAX_ENUM_LENGTH:
+        raise ResourceGuardError(f"word length {n} exceeds limit {MAX_ENUM_LENGTH}")
     cost = word_count_bound(s, n)
-    if cost > budget:
-        raise ResourceGuardError(f"enumeration of {cost} trees exceeds budget {budget}")
+    if cost > ENUM_BUDGET:
+        raise ResourceGuardError(f"enumeration of {cost} trees exceeds budget {ENUM_BUDGET}")
 
 
 def _products(pools, m):
@@ -141,7 +143,7 @@ def enumerate_basic_trees(s: int, n: int):
     The MAX_ENUM_LENGTH and ENUM_BUDGET guards fire before the first
     tree is produced.
     """
-    _guard_enum(s, n, MAX_ENUM_LENGTH, ENUM_BUDGET)
+    _guard_enum(s, n)
     return _tree_stream(s, n)
 
 
@@ -221,39 +223,40 @@ def is_reduced_triality(w) -> bool:
     return not _triality_root_match(op, u, v)
 
 
-def count_reduced(s: int, n: int, max_length: int = MAX_ENUM_LENGTH, budget: int = ENUM_BUDGET) -> int:
+def count_reduced(s: int, n: int) -> int:
     """Brute-force reduced-word count, independent of the counting
     formulas.
 
     Every candidate (op, u, v) with u and v drawn from the pools of
     reduced subtrees is built and its root tested against the six
     patterns; the subtrees need no test, being reduced already.  The
-    guards still price the full 3^(n-1) s^n C_n basic trees."""
-    _guard_enum(s, n, max_length, budget)
+    guards still price the full 3^(n-1) s^n C_n basic trees against
+    MAX_ENUM_LENGTH and ENUM_BUDGET, read at call time: to lift a
+    limit, set the module constant."""
+    _guard_enum(s, n)
     if n == 1:
         return s
     return sum(1 for t in _products(_pools(s, n - 1, reduced=True), n) if not _basic_root_match(*t))
 
 
-def count_reduced_rooted(
-    s: int, a: int, b: int, root: OpSymbol, max_length: int = MAX_ENUM_LENGTH, budget: int = ENUM_BUDGET
-) -> int:
+def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
     """Reduced trees joining an a-leaf and a b-leaf basic subtree under
     a fixed root operation, any of the six.
 
     Each pair from the reduced a- and b-leaf pools is joined and only
     the root tested; an opposite root is tested through its basic nodal
-    representative (op.opposite, y, x).  The pair budget prices the
-    full basic pools."""
+    representative (op.opposite, y, x).  The guards read MAX_ENUM_LENGTH
+    for a + b and ENUM_BUDGET for the pairs of the full basic pools, both
+    at call time."""
     if not isinstance(root, OpSymbol):
         raise DomainError(f"root must be an OpSymbol, got {root!r}")
     if s < 1 or a < 1 or b < 1:
         raise DomainError(f"count_reduced_rooted needs s, a, b >= 1, got s={s} a={a} b={b}")
-    if a + b > max_length:
-        raise ResourceGuardError(f"word length {a + b} exceeds limit {max_length}")
+    if a + b > MAX_ENUM_LENGTH:
+        raise ResourceGuardError(f"word length {a + b} exceeds limit {MAX_ENUM_LENGTH}")
     pairs = word_count_bound(s, a) * word_count_bound(s, b)
-    if pairs > budget:
-        raise ResourceGuardError(f"{pairs} candidate pairs exceed budget {budget}")
+    if pairs > ENUM_BUDGET:
+        raise ResourceGuardError(f"{pairs} candidate pairs exceed budget {ENUM_BUDGET}")
     pools = _pools(s, max(a, b), reduced=True)
     if not root.is_basic:
         root, a, b = root.opposite, b, a

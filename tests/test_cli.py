@@ -1,15 +1,19 @@
+import argparse
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pericatalan import asymptotics, cli, enumeration, freewords
 from pericatalan.enumeration import build_table
+from pericatalan.errors import ResourceGuardError
 
 
 def run(capsys, *argv):
@@ -223,9 +227,62 @@ def test_oracle_guard(capsys):
     assert rc == 4 and "refused" in err
 
 
-def test_oracle_budget_flag(capsys):
-    rc, _, err = run(capsys, "oracle", "--s", "2", "--n", "4", "--budget", "10")
+def test_oracle_budget_flag(capsys, monkeypatch):
+    # the budget is freewords.ENUM_BUDGET, read when the oracle runs
+    monkeypatch.setattr(freewords, "ENUM_BUDGET", 10)
+    rc, _, err = run(capsys, "oracle", "--s", "2", "--n", "4")
     assert rc == 4
+
+
+def test_oracle_limits_are_read_at_call_time(capsys, monkeypatch):
+    # the library and pcat follow a module constant changed after import
+    fw = freewords
+    monkeypatch.setattr(fw, "MAX_ENUM_LENGTH", 9)
+    for call in (lambda: fw.enumerate_basic_trees(1, 10), lambda: fw.count_reduced(1, 10),
+                 lambda: fw.count_reduced_rooted(1, 5, 5, fw.MUL)):
+        with pytest.raises(ResourceGuardError, match="^word length 10 exceeds limit 9$"):
+            call()
+    assert fw.count_reduced_rooted(1, 5, 4, fw.MUL) == enumeration.aux_bivariate(1, 5, 4)
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "10")
+    assert rc == 4 and out == "" and "word length 10 exceeds limit 9" in err
+    rc, out, _ = run(capsys, "oracle", "--s", "1", "--rooted", "5,4")
+    assert rc == 0 and out.count(" ok\n") == 6
+    monkeypatch.setattr(fw, "ENUM_BUDGET", 10)
+    for call in (lambda: fw.enumerate_basic_trees(1, 3), lambda: fw.count_reduced(1, 3)):
+        with pytest.raises(ResourceGuardError, match="^enumeration of 18 trees exceeds budget 10$"):
+            call()
+    with pytest.raises(ResourceGuardError, match="^18 candidate pairs exceed budget 10$"):
+        fw.count_reduced_rooted(1, 3, 1, fw.MUL)
+    assert fw.count_reduced(1, 2) == 3 and fw.count_reduced_rooted(1, 2, 1, fw.MUL) == enumeration.aux_bivariate(1, 2, 1)
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "3")
+    assert rc == 4 and out == "" and "enumeration of 18 trees exceeds budget 10" in err
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--rooted", "3,1")
+    assert rc == 4 and out == "" and "18 candidate pairs exceed budget 10" in err
+
+
+def test_oracle_span_prices_largest_n_first(capsys, monkeypatch):
+    seen = []
+    count = freewords.count_reduced
+
+    def recording(s, n, *rest, **options):
+        seen.append(n)
+        return count(s, n, *rest, **options)
+
+    monkeypatch.setattr(freewords, "count_reduced", recording)
+    rc, out, err = run(capsys, "oracle", "--s", "2", "--n-max", "8")
+    assert rc == 4 and out == "" and "refused:" in err
+    assert seen == [8]
+
+
+def test_oracle_refused_span_allocates_nothing_per_n(capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "oracle", "--s", "1", "--n-max", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rc == 4 and out == "" and "word length 1000000 exceeds limit 8" in err
 
 
 def test_oracle_missing_n(capsys):
@@ -534,3 +591,14 @@ def test_big_integers_in_a_fresh_process(tmp_path):
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     assert len(proc.stdout) > 4300 and proc.stdout.rstrip("\n").isdigit()
+
+
+def test_readme_cli_section_names_exactly_the_parser_flags():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in subparsers.choices.values() for a in p._actions for opt in a.option_strings
+             if opt.startswith("--")}
+    assert documented == flags - {"--help"}

@@ -201,7 +201,7 @@ def test_count_reduced_rooted_examples():
     assert fw.count_reduced_rooted(2, 2, 2, fw.OLDIV) == 144
 
 
-def test_count_reduced_rooted_guards():
+def test_count_reduced_rooted_guards(monkeypatch):
     with pytest.raises(DomainError):
         fw.count_reduced_rooted(1, 1, 1, "mul")
     with pytest.raises(DomainError):
@@ -209,7 +209,9 @@ def test_count_reduced_rooted_guards():
     with pytest.raises(ResourceGuardError):
         fw.count_reduced_rooted(1, 5, 4, fw.MUL)
     with pytest.raises(ResourceGuardError):
-        fw.count_reduced_rooted(2, 3, 3, fw.MUL, budget=1000)
+        with monkeypatch.context() as m:
+            m.setattr(fw, "ENUM_BUDGET", 1000)
+            fw.count_reduced_rooted(2, 3, 3, fw.MUL)
 
 
 def test_nodal_class_of_leaf():
