@@ -264,9 +264,9 @@ def test_oracle_span_prices_largest_n_first(capsys, monkeypatch):
     seen = []
     count = freewords.count_reduced
 
-    def recording(s, n, *rest, **options):
+    def recording(s, n):
         seen.append(n)
-        return count(s, n, *rest, **options)
+        return count(s, n)
 
     monkeypatch.setattr(freewords, "count_reduced", recording)
     rc, out, err = run(capsys, "oracle", "--s", "2", "--n-max", "8")
