@@ -1,4 +1,4 @@
-"""Log-space evaluation of the reduced-word counts and growth diagnostics.
+r"""Log-space evaluation of the reduced-word counts and growth diagnostics.
 
 Exact values overflow usefulness long before n = 2800, so this module
 carries ln P(s, n) as doubles.  The k-block of the recursion is scaled:
@@ -18,19 +18,26 @@ logsumexp, off-diagonal terms weighted 2 and the diagonal (even n) 1.
 This is deterministic for a fixed numpy build.
 
 Most ratios of a row are exactly 1.0 and are neither computed nor
-stored.  With g the smallest step l_{j+1} - l_j so far, every ratio
-with lo > width = int(40 / g) + 1 has l_hi - l_d >= lo g > 40, so
-t = rho * exp(l_d - l_hi) < e^-40 < 2^-54 and 1 - t == 1.0 in double
-precision.  Only the last width ratios of a row (about 12 at s = 12,
-37 at s = 1) are computed; the exp of the others would underflow, which
-is slow on some CPUs.  Their logsumexp terms start at log(1.0) = 0.0,
-so every l is bit-identical to computing the row in full.  A NaN or
-non-positive step turns the skip off for the rest of the table.  ln C_n
-is computed once for the longest table so far; shorter tables get
-read-only views.
+stored.  That rests on a lemma: P(s, n + 1) >= 3s P(s, n).  Take a
+reduced word w with n leaves, a generator x and an op in {*, \, /}.
+(w op x) is reduced unless w = B/x (for *), x/B (for \) or B*x (for
+/), and then (x op w) is reduced: its root pattern would need w = x\B,
+x*B or B\x, and w's root is another op.  For n >= 2 the map is
+injective ((w op x) has a non-leaf left child, (x op w) a leaf); at
+n = 1, P(s, 2) = 3s^2.  So every step l_{j+1} - l_j is at least
+g = ln 3s, and every ratio with lo > W = int(40 / g) + 1 has
+l_hi - l_d >= lo g > 40, so t = rho * exp(l_d - l_hi) < e^-40 < 2^-54
+and 1 - t == 1.0 in double precision; the float error of l (relative
+1.8e-15 to n = 1000) is far inside that margin.  Only the last W ratios
+of a row (12 at s = 12, 37 at s = 1) are computed; the exp of the others
+would underflow, which is slow on some CPUs.  Their logsumexp terms
+start at log(1.0) = 0.0, so every l is bit-identical to computing the
+row in full.  A step below g past n = 2 (whose step is ln 3s to an ulp)
+raises StabilityError.  ln C_n is computed once for the longest table
+so far; shorter tables get read-only views.
 
-rho is kept in a band, band[d, b] = rho(d - b, b), whose columns grow
-geometrically past the widest row; everything off it is 1.0.  Row n's
+rho is kept in a band, band[d, b] = rho(d - b, b), of
+min(W, n_max // 2) + 1 columns; everything off it is 1.0.  Row n's
 tail is band[n, width:0:-1], every l operand of its step is a slice of
 l, and the one gather reads band[hi, min(d, lo)] (d = 2 hi - n).  The
 even-n diagonal reads column 0 through a factor exp(l_0 - l_hi) = 0.
@@ -52,8 +59,9 @@ from .errors import DomainError, ResourceGuardError, StabilityError
 
 _LOG3 = math.log(3.0)
 
-# largest n_max of a log table.  The band is (n + 1)(W + 1) doubles, under
-# 6 MB at s = 1; with the skip off, (n + 1)(n // 2 + 1): 0.4 GB here.
+# largest n_max of a log table.  It bounds time: a table sums about n^2/4
+# logsumexp terms, 0.2-0.35 s at n = 10 000.  The band is (n + 1)(W + 1)
+# doubles, 3.0 MB at s = 1.
 LOG_CEILING = 10_000
 
 
@@ -108,28 +116,20 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
     if n_max < 2:
         raise DomainError(f"log_peri_table needs n_max >= 2, got {n_max}")
     if n_max > LOG_CEILING:
-        raise ResourceGuardError(
-            f"log table past n={LOG_CEILING} refused (requested n={n_max}: "
-            f"a ratio band of up to {(n_max + 1) * (n_max // 2 + 1) * 8 / 1e9:.1f} GB)"
-        )
+        raise ResourceGuardError(f"log table past n={LOG_CEILING} (requested n={n_max})")
     lc = _log_catalan_array(n_max)
     lp = np.empty(n_max + 1)
     lp[0] = -math.inf
     lp[1] = math.log(s)
-    band = np.ones((n_max + 1, 2))  # band[d, b] = rho(d - b, b); 1.0 where not computed
+    g = math.log(3 * s)  # every step lp[j+1] - lp[j] is at least ln 3s (module docstring)
+    cols = min(int(_CUT / g) + 1, n_max // 2)  # W: only lo <= W can give rho < 1
+    band = np.ones((n_max + 1, cols + 1))  # band[d, b] = rho(d - b, b); 1.0 where not computed
     idx = np.arange(n_max + 1)
-    g = math.inf  # smallest step lp[j+1] - lp[j] so far; not > 0 turns the skip off
     for n in range(2, n_max + 1):
         # hi = h0 .. n-1 ascending, lo = n - hi descending, d = hi - lo = 2 hi - n
         h0 = (n + 1) // 2
         m = n - h0
-        # only lo <= width can give rho < 1; the entries before are exactly 1.0
-        width = min(m, int(_CUT / g) + 1) if g * m > _CUT else m
-        cols = band.shape[1]
-        if width >= cols:  # doubling: one column per row would cost O(n^3) with the skip off
-            grown = np.ones((n_max + 1, min(max(width + 1, 2 * cols), n_max // 2 + 1)))
-            grown[:, :cols] = band
-            band = grown
+        width = min(m, cols)  # the first m - width entries of the row are exactly 1.0
         c0 = n - width  # the first hi computed; d0 its d
         d0 = 2 * c0 - n
         lo = idx[width:0:-1]
@@ -151,9 +151,8 @@ def log_peri_table(s: int, n_max: int, with_rho: bool = False):
         if n % 2 == 0:
             w[0] *= 0.5  # the diagonal hi == lo appears once, not twice
         lp[n] = _LOG3 + top + math.log(2.0 * w.sum())
-        step = lp[n] - lp[n - 1]
-        if g > 0.0 and not step >= g:  # a NaN or non-positive step sticks
-            g = step
+        if n >= 3 and not lp[n] - lp[n - 1] >= g:
+            raise StabilityError(f"log step below ln 3s at s={s}, n={n}: {lp[n] - lp[n - 1]!r} < {g!r}")
     lp.setflags(write=False)
     band.setflags(write=False)
     table = LogTable(s=s, values=lp, catalan_values=lc)

@@ -296,8 +296,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        if "cache_dir" in args:  # compute and table: the flag wins over the environment
-            args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR")
+        if "cache_dir" in args:  # compute and table: the flag wins over the environment; empty is unset
+            args.cache_dir = args.cache_dir or os.environ.get("PCAT_CACHE_DIR") or None
         code, text = args.handler(args)
         _emit(args.out, text)
         return code

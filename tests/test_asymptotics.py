@@ -18,6 +18,7 @@ from pericatalan.asymptotics import (
 )
 from pericatalan.enumeration import aux_bivariate, build_table, peri_catalan_recursive, word_count_bound
 from pericatalan.errors import DomainError, ResourceGuardError, StabilityError
+from pericatalan.freewords import count_reduced
 
 
 def test_base_cases():
@@ -98,25 +99,42 @@ def test_rho_grid_matches_exact(s):
         assert abs(float(t.values[n]) - want) <= 1e-14 * want, (n, float(t.values[n]), want)
 
 
+def band_shape(s, n_max):
+    # W(s) = int(40 / ln 3s) + 1 computed columns, at most n_max // 2, plus column 0
+    return n_max + 1, min(int(40 / math.log(3 * s)) + 1, n_max // 2) + 1
+
+
 @pytest.mark.parametrize("n_max", [12, 13, 60])
 def test_rho_store_is_a_band(n_max):
-    _, rho = log_peri_table(3, n_max, with_rho=True)
-    assert rho.grid.dtype == np.float64
-    assert rho.grid.shape[0] == n_max + 1 and 2 <= rho.grid.shape[1] <= n_max // 2 + 1
-    assert not hasattr(rho, "n_max")
-    # column 0 and the non-canonical b > d / 2 are never written
-    d, b = np.indices(rho.grid.shape)
-    assert np.all(rho.grid[(b == 0) | (2 * b > d)] == 1.0)
+    for s in (1, 3, 12, 10**200):
+        _, rho = log_peri_table(s, n_max, with_rho=True)
+        assert rho.grid.dtype == np.float64
+        assert rho.grid.shape == band_shape(s, n_max), s
+        assert not hasattr(rho, "n_max")
+        # column 0 and the non-canonical b > d / 2 are never written
+        d, b = np.indices(rho.grid.shape)
+        assert np.all(rho.grid[(b == 0) | (2 * b > d)] == 1.0)
 
 
 def test_rho_band_stays_small_at_the_ceiling():
-    # the packed triangle of n^2/4 doubles took 200 MB here
-    t, rho = log_peri_table(1, 10_000, with_rho=True)
-    assert rho.grid.nbytes < 6e6
-    # the widest computed row is the last: g is the smallest step before it
-    g = np.diff(t.values[1:-1]).min()
-    widest = min(10_000 // 2, int(asymptotics._CUT / g) + 1)
-    assert rho.grid.shape[1] <= 2 * widest + 1
+    # the packed triangle of n^2/4 doubles took 200 MB here; the band
+    # holds W(1) = 37 computed columns
+    _, rho = log_peri_table(1, 10_000, with_rho=True)
+    assert rho.grid.shape == band_shape(1, 10_000) == (10_001, 38)
+    assert rho.grid.nbytes == 3_040_304
+
+
+def test_each_step_gains_at_least_3s():
+    # the lemma that fixes the band's width: P(s, n + 1) >= 3s P(s, n),
+    # with equality at n = 1, on exact columns and on brute-force counts
+    for s in (1, 2, 3, 12, 64, 10**6):
+        p = build_table(s, 300).values
+        assert p[2] == 3 * s * p[1]
+        assert all(p[n + 1] >= 3 * s * p[n] for n in range(1, 300)), s
+    for s, n_top in ((1, 7), (2, 5), (3, 4)):
+        p = [count_reduced(s, n) for n in range(1, n_top + 1)]
+        assert p[1] == 3 * s * p[0]
+        assert all(b >= 3 * s * a for a, b in zip(p, p[1:])), s
 
 
 def test_rho_diagonal_is_one():
@@ -190,20 +208,13 @@ def test_skipped_prefix_is_bit_identical(s, n_maxes):
 
 
 @pytest.mark.parametrize("log3", [-0.3, -0.5])
-def test_skip_off_after_a_nonpositive_step(monkeypatch, log3):
-    # a wrong ln 3 at s = 2 makes the step l_3 - l_2 negative.  A cut of 1
-    # would skip ratios that are not 1.0, so the rows match the full
-    # computation bit for bit only if that step turned the skip off.  At
-    # n = 2000 the band widens to whole rows over many reallocations.
+def test_step_below_ln3s_is_refused(monkeypatch, log3):
+    # a wrong ln 3 at s = 2 keeps rho(2, 1) in (0, 1] but makes the step
+    # l_3 - l_2 negative, below the proven ln 6 the band's width rests on
     monkeypatch.setattr(asymptotics, "_LOG3", log3)
-    monkeypatch.setattr(asymptotics, "_CUT", 1.0)
-    for n_max in (200, 2000):
-        t, rho = log_peri_table(2, n_max, with_rho=True)
-        assert not np.diff(t.values[1:]).min() > 0.0
-        assert rho.grid.shape[1] == n_max // 2 + 1
-        lp, full = full_row_table(2, n_max)
-        assert np.array_equal(t.values, lp), n_max
-        assert_band_matches(rho, full)
+    for n_max in (3, 200):
+        with pytest.raises(StabilityError, match=r"^log step below ln 3s at s=2, n=3: "):
+            log_peri_table(2, n_max)
 
 
 def test_stability_error_names_n_and_k(monkeypatch):

@@ -418,6 +418,11 @@ def test_log_ceiling_exits_four(capsys, monkeypatch):
     assert rc == 4 and out == "" and "refused" in err
 
 
+def test_log_ceiling_refusal_line(capsys):
+    rc, out, err = run(capsys, "quotient", "--s", "1", "--n-max", "10001")
+    assert (rc, out, err) == (4, "", "refused: log table past n=10000 (requested n=10001)\n")
+
+
 def test_word_reduced_query(capsys):
     rc, out, _ = run(capsys, "word", "--word", "(a*(a\\b))")
     assert rc == 0
@@ -509,6 +514,15 @@ def test_cache_dir_env(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "compute", "--s", "2", "--n", "8")
     assert rc == 0 and out == "164734560\n"
     assert cache.read_text() == stamp
+
+
+def test_empty_cache_env_is_unset(capsys, tmp_path, monkeypatch):
+    # an empty PCAT_CACHE_DIR once wrote pcat-s3.txt into the working directory
+    monkeypatch.setenv("PCAT_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, "compute", "--s", "3", "--n", "5")
+    assert rc == 0 and out == "233766\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cache_flag_beats_env(capsys, tmp_path, monkeypatch):
