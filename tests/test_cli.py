@@ -517,7 +517,7 @@ def test_cache_dir_env(capsys, tmp_path, monkeypatch):
 
 
 def test_empty_cache_env_is_unset(capsys, tmp_path, monkeypatch):
-    # an empty PCAT_CACHE_DIR once wrote pcat-s3.txt into the working directory
+    # an empty PCAT_CACHE_DIR is unset: no pcat-s3.txt lands in the working directory
     monkeypatch.setenv("PCAT_CACHE_DIR", "")
     monkeypatch.chdir(tmp_path)
     rc, out, _ = run(capsys, "compute", "--s", "3", "--n", "5")
