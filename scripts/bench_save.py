@@ -19,9 +19,10 @@ the tag, before round i + 1 starts, so a spell of machine load is
 spread over the workloads instead of landing on one.  The parent runs
 first in even rounds and the change first in odd ones.
 
-The file, written at the repository root or under --out-dir, records
-the two commits that ran (HEAD's as `commit`, REV's under `against`),
-the machine, the seeds and the run length.  Per workload it holds every
+The file, written at the repository root or under --out-dir (not a
+writable directory: exit 2 before any run), records the two commits
+that ran (HEAD's as `commit`, REV's under `against`), the machine, the
+seeds and the run length.  Per workload it holds every
 pair; per side the ops attempted and failed and, per end-to-end metric,
 the median and the quartiles (statistics.quantiles(values, n=4)); and
 per metric the median paired ratio change/parent, the pairs the change
@@ -183,6 +184,8 @@ def main(argv=None, runner=run_in) -> int:
         parser.error(f"unknown workloads {unknown}; choose from {names}")
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not (os.path.isdir(args.out_dir) and os.access(args.out_dir, os.W_OK)):
+        parser.error(f"--out-dir {args.out_dir} is not a writable directory")
     return paired(args, spec, workloads, runner)
 
 

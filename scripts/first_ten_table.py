@@ -10,29 +10,26 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pericatalan.enumeration import build_table, peri_catalan_recursive
 
+S_MAX, N_MAX = 3, 10
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--s-max", type=int, default=3)
-    ap.add_argument("--n-max", type=int, default=10)
-    args = ap.parse_args()
-    if args.s_max < 1 or args.n_max < 1:
-        ap.error("--s-max and --n-max must be >= 1")
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     columns = {}
-    for s in range(1, args.s_max + 1):
-        table = build_table(s, args.n_max)
+    for s in range(1, S_MAX + 1):
+        table = build_table(s, N_MAX)
         memo = {}
-        for n in range(1, args.n_max + 1):
+        for n in range(1, N_MAX + 1):
             if peri_catalan_recursive(s, n, memo) != table[n]:
                 raise AssertionError(f"path mismatch at s={s} n={n}")
         columns[s] = table
 
-    widths = {s: max(len(str(columns[s][args.n_max])), len(f"s = {s}")) for s in columns}
+    widths = {s: max(len(str(columns[s][N_MAX])), len(f"s = {s}")) for s in columns}
     header = "  n  " + "  ".join(f"{f's = {s}':>{widths[s]}}" for s in columns)
     print(header)
     print("-" * len(header))
-    for n in range(1, args.n_max + 1):
+    for n in range(1, N_MAX + 1):
         print(f"{n:>3}  " + "  ".join(f"{columns[s][n]:>{widths[s]}}" for s in columns))
 
 

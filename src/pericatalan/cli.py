@@ -178,8 +178,6 @@ def cmd_table(args) -> tuple[int, str]:
 
 
 def cmd_oracle(args) -> tuple[int, str]:
-    if args.s < 1:
-        raise DomainError(f"oracle needs s >= 1, got {args.s}")
     if args.rooted is not None:
         a, b = args.rooted
         # The oracle's guards refuse a large split before the formula runs.
@@ -202,10 +200,6 @@ def cmd_oracle(args) -> tuple[int, str]:
 
 
 def cmd_quotient(args) -> tuple[int, str]:
-    if args.s < 1:
-        raise DomainError(f"quotient needs s >= 1, got {args.s}")
-    if args.n_max < 2:
-        raise DomainError(f"quotient needs n_max >= 2, got {args.n_max}")
     table = asymptotics.log_peri_table(args.s, args.n_max)
     rows = list(zip(*(a.tolist() for a in asymptotics.quotient_series(table))))
     if args.fmt == "text":
@@ -216,8 +210,6 @@ def cmd_quotient(args) -> tuple[int, str]:
 
 
 def cmd_regress(args) -> tuple[int, str]:
-    if args.s < 1:
-        raise DomainError(f"regress needs s >= 1, got {args.s}")
     table = asymptotics.log_peri_table(args.s, args.n_max)
     reg = asymptotics.linear_regression(asymptotics.regression_points(table, args.n_min, args.n_max))
     ln3s = math.log(3 * args.s)

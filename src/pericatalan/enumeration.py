@@ -49,7 +49,6 @@ except ImportError:
         from hashlib import sha256
 
 CACHE_MAGIC = "pcat-cache v2"
-_CACHE_V1 = "pcat-cache v1"  # no digest: such a file is recomputed, never read
 
 # Largest priced m triangle the verifier fills, in bytes.  Measured peak
 # RSS of a fill from scratch (Python 3.11): s=1 N=500 46 MB, N=1000 143 MB,
@@ -227,8 +226,7 @@ def _cache_path(cache_dir: str, s: int) -> str:
 
 
 def _load_cache(path: str, s: int) -> list | None:
-    # The values of a valid v2 file; None when there is no file or only
-    # an untrusted v1 one.
+    # The values of a valid file; None when there is no file.
     try:
         with open(path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
@@ -236,8 +234,6 @@ def _load_cache(path: str, s: int) -> list | None:
         return None
     except OSError as e:
         raise CacheError(f"cannot read cache {path}: {e}") from e
-    if header == f"{_CACHE_V1} s={s}".encode():
-        return None
     prefix = f"{CACHE_MAGIC} s={s} sha256=".encode()
     if not header.startswith(prefix):
         raise CacheIntegrityError(f"bad cache header in {path}")
@@ -286,10 +282,7 @@ def _save_cache(path: str, s: int, values: list) -> None:
 
 
 def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
-    """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max.
-
-    A v1 cache file (no digest) is not trusted: the column is recomputed
-    to n_max and the file rewritten as v2."""
+    """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max."""
     if s < 1 or n_max < 1:
         raise DomainError(f"build_table needs s >= 1 and n_max >= 1, got s={s} n_max={n_max}")
     path = None if cache_dir is None else _cache_path(cache_dir, s)

@@ -310,12 +310,13 @@ def test_oracle_rooted_excludes_n_and_n_max(capsys, span):
 @pytest.mark.parametrize("argv, message", [
     (["table", "--s-list", "1", "--n-max", "0"], "table needs n_max >= 1, got 0"),
     (["table", "--s-list", "-1", "--n-max", "3"], "table needs s >= 0, got (-1,)"),
-    (["oracle", "--s", "0", "--n", "3"], "oracle needs s >= 1, got 0"),
-    (["quotient", "--s", "0", "--n-max", "5"], "quotient needs s >= 1, got 0"),
-    (["quotient", "--s", "1", "--n-max", "1"], "quotient needs n_max >= 2, got 1"),
-    (["regress", "--s", "0"], "regress needs s >= 1, got 0"),
+    (["oracle", "--s", "0", "--n", "3"], "enumeration needs s >= 1 and n >= 1, got s=0 n=3"),
+    (["quotient", "--s", "0", "--n-max", "5"], "log_peri_table needs s >= 1, got 0"),
+    (["quotient", "--s", "1", "--n-max", "1"], "log_peri_table needs n_max >= 2, got 1"),
+    (["regress", "--s", "0"], "log_peri_table needs s >= 1, got 0"),
     (["fit", "--s-max", "1"], "fit needs s_max >= 2, got 1"),
     (["oracle", "--s", "1", "--rooted", "1,2,3"], "expected two comma-separated integers, got '1,2,3'"),
+    (["oracle", "--s", "0", "--rooted", "1,2"], "count_reduced_rooted needs s, a, b >= 1, got s=0 a=1 b=2"),
 ])
 def test_out_of_domain_arguments_exit_two(capsys, argv, message):
     try:

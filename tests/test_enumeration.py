@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pericatalan import enumeration
+from pericatalan import cli, enumeration
 from pericatalan.enumeration import (
     CACHE_MAGIC,
     _closed_form_value,
@@ -335,15 +335,17 @@ def test_cache_one_wrong_digit_refused(tmp_path):
         build_table(2, 10, str(tmp_path))
 
 
-def test_cache_v1_is_recomputed_as_v2(tmp_path):
+def test_cache_v1_is_refused(tmp_path, capsys):
+    # v1 carried no digest; it is an unknown header like any other
     path = _cache_file(tmp_path, 2)
     path.write_text("pcat-cache v1 s=2\n1 2\n2 12\n3 121\n4 1752\n")  # P(2, 3) is 120
-    t = build_table(2, 3, str(tmp_path))
-    assert t.values == [0, 2, 12, 120]
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("pcat-cache v2 s=2 sha256=")
-    assert lines[1:] == ["1 2", "2 12", "3 120"]
-    assert build_table(2, 3, str(tmp_path)).values == [0, 2, 12, 120]
+    before = path.read_bytes()
+    with pytest.raises(CacheIntegrityError, match="bad cache header"):
+        build_table(2, 3, str(tmp_path))
+    assert cli.main(["compute", "--s", "2", "--n", "3", "--cache-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad cache header" in captured.err
+    assert path.read_bytes() == before
 
 
 def test_cache_bound_check_is_exact(tmp_path):

@@ -45,35 +45,53 @@ def test_growth_experiments_small_n_max(tmp_path):
 
 
 def test_growth_experiments_n_max_too_small(tmp_path):
-    # each range that a pcat call would refuse is refused before the first call
+    # a range that a pcat call refuses ends the run with pcat's message, and nothing is written
     for args, message in [
-        (("--n-max", "2"), "--n-max must be at least 3, got 2"),
-        (("--s-max", "1"), "--s-max must be at least 2, got 1"),
-        (("--proxy-n", "2"), "--proxy-n must be at least 3, got 2"),
-        (("--s-list", "1,0"), "--s-list needs every s >= 1, got 0"),
+        (("--n-max", "2"), "error: regression needs >= 2 points, got 1"),
+        (("--s-max", "1"), "error: fit needs s_max >= 2, got 1"),
+        (("--proxy-n", "2"), "error: fit needs --proxy-n >= 3 (every defect at n = 2 is 0), got 2"),
+        (("--s-list", "1,0"), "error: log_peri_table needs s >= 1, got 0"),
     ]:
-        proc = run_script("growth_experiments.py", *args, "--out-dir", str(tmp_path))
+        proc = run_script("growth_experiments.py", "--n-max", "50", "--s-max", "3", "--proxy-n", "50", *args,
+                          "--out-dir", str(tmp_path))
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, (args, proc.stderr)
-        assert message in proc.stderr, args
+        assert message in proc.stderr.splitlines(), (args, proc.stderr)
         assert list(tmp_path.iterdir()) == [], args
 
 
 @pytest.mark.parametrize("flag", ["--n-max", "--proxy-n"])
 def test_growth_experiments_past_the_log_ceiling(tmp_path, flag):
-    # refused with pcat's guard code before the quotient series are written
+    # refused with pcat's guard code and message; with --proxy-n the
+    # quotient and regress calls have run, in memory only
     from pericatalan.asymptotics import LOG_CEILING
 
     proc = run_script("growth_experiments.py", "--s-list", "1", "--n-max", "50", "--s-max", "3", "--proxy-n", "50",
                       flag, str(LOG_CEILING + 1), "--out-dir", str(tmp_path))
     assert proc.returncode == 4 and "Traceback" not in proc.stderr, proc.stderr
-    assert proc.stderr.startswith(f"refused: {flag} {LOG_CEILING + 1}")
+    assert f"refused: log table past n={LOG_CEILING} (requested n={LOG_CEILING + 1})" in proc.stderr.splitlines()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_growth_experiments_out_dir_not_writable(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_script("growth_experiments.py", "--s-list", "1", "--n-max", "50", "--s-max", "3", "--proxy-n", "50",
+                      "--out-dir", str(blocker / "out"))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"cache error: cannot write output file {blocker / 'out' / 'quotient-s1.csv'}" in proc.stderr
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_first_ten_table():
     proc = run_script("first_ten_table.py")
     assert proc.returncode == 0, proc.stderr
     assert "61689134928" in proc.stdout.splitlines()[-1]
+
+
+def test_first_ten_table_takes_no_size_flags():
+    # --n-max 1340 used to reach the verifier's memory guard and end in a traceback
+    proc = run_script("first_ten_table.py", "--n-max", "1340")
+    assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _load_bench_save():
@@ -244,6 +262,20 @@ def test_bench_save_pairs_bad_rev_exits_two(tmp_path, monkeypatch, capsys):
     bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
     assert bench_save.main(["--tag", "t", "--against", "no-such-rev", "--out-dir", str(tmp_path)]) == 2
     assert "cannot check out no-such-rev" in capsys.readouterr().err
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
+
+
+def test_bench_save_refuses_a_bad_out_dir_before_any_run(tmp_path, monkeypatch, capsys):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+
+    def runner(*args):
+        raise AssertionError("no run may start when the file cannot be written")
+
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        bench_save.main(["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--out-dir", str(missing)], runner=runner)
+    assert exc.value.code == 2 and "--out-dir" in capsys.readouterr().err
+    assert not missing.exists() and not (tmp_path / "BENCH_t.json").exists()
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
 
 
