@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Save one point of the benchmark trajectory as BENCH_<tag>.json.
 
-    python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b]
+    python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b] [--trace]
 
 Measures HEAD against REV in alternating pairs.  Both revisions are
 resolved to commits before anything runs (a bad one exits 2), and if
@@ -17,7 +17,10 @@ from HEAD's BENCHMARK.json.  The pairs run in rounds: round i runs
 the pair of every workload in turn, both sides on seed i, derived from
 the tag, before round i + 1 starts, so a spell of machine load is
 spread over the workloads instead of landing on one.  The parent runs
-first in even rounds and the change first in odd ones.
+first in even rounds and the change first in odd ones.  With --trace,
+after the pairs, each workload runs once traced (perfbench/run.py
+--trace 1) per side, parent first, on the first seed, for the per-layer
+numbers.
 
 The file, written at the repository root or under --out-dir (not a
 writable directory: exit 2 before any run), records the two commits
@@ -30,9 +33,12 @@ won (ties count for neither side), the parent's quartile spread as a
 share of its median, "unresolved" when that spread exceeds the metric's
 bound and "gain" when the change won at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's quartile
-distance.  A run that exits nonzero stops the script before anything is
-written, and the file is replaced atomically, so it is never left half
-written.
+distance.  With --trace, per workload it also holds under "trace"
+the traced run of each side: its ops and every per-layer metric as
+the run printed it, trace.overhead_s among them even when negative
+(the passes it compares drift on a shared machine).  A run that exits
+nonzero stops the script before anything is written, and the file is
+replaced atomically, so it is never left half written.
 
 For the spread of a single tree over seeds, use perfbench/spread.py --out.
 """
@@ -71,10 +77,10 @@ def aggregate(runs: list, metrics: list) -> dict:
     }
 
 
-def run_in(tree: str, spec: dict, workload: str, seed: int) -> dict:
-    """One untraced run of tree's own benchmark command, from tree."""
+def run_in(tree: str, spec: dict, workload: str, seed: int, trace: int = 0) -> dict:
+    """One run of tree's own benchmark command, from tree, traced when trace is 1."""
     cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
-           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+           "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=180)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -142,6 +148,15 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
                 pairs[workload].append({"seed": seed, "first": order[0], **pair})
                 print(f"{workload} seed {seed} ({order[0]} first): wall_s "
                       f"{pair['parent']['wall_s']} -> {pair['change']['wall_s']}", flush=True)
+        traces = {}
+        for workload in workloads if args.trace else ():
+            traces[workload] = {"seed": seeds[0]}
+            for side in ("parent", "change"):
+                run = runner(trees[side], spec, workload, seeds[0], trace=1)
+                traces[workload][side] = {**run, "metrics": {name: v["value"] for name, v in run["metrics"].items()}}
+            print(f"{workload} traced seed {seeds[0]}: trace.overhead_s "
+                  f"{traces[workload]['parent']['metrics']['trace.overhead_s']} -> "
+                  f"{traces[workload]['change']['metrics']['trace.overhead_s']}", flush=True)
         report_workloads = {
             workload: {
                 **{side: aggregate(sides, spec["end_to_end"]) for side, sides in runs[workload].items()},
@@ -150,6 +165,8 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
             }
             for workload in workloads
         }
+        for workload, trace in traces.items():
+            report_workloads[workload]["trace"] = trace
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         git("worktree", "prune")  # drops the entries of both worktrees
@@ -177,6 +194,7 @@ def main(argv=None, runner=run_in) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--out-dir", default=ROOT)
+    parser.add_argument("--trace", action="store_true", help="after the pairs, one traced run per side and workload")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = [w for w in workloads if w not in names]

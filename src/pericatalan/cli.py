@@ -5,6 +5,7 @@ output file could not be read or written, 4 resource-guard refusal.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,7 +43,11 @@ def _int_pair(text):
     return parts
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pcat parser, built on the first call and shared after it.  No
+    default is mutable, so each parse_args call starts from a fresh
+    namespace and one call's flags never reach the next."""
     parser = argparse.ArgumentParser(prog="pcat", description="Reduced free-quasigroup word counts and growth diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,7 +29,10 @@ All arithmetic is exact (Python integers).  build_table is the one
 place a column grows, and peri_catalan reads it.  It adds an opt-in
 plain-text cache, one file per s, so repeated runs extend rather than
 recompute.  Its header carries a sha256 digest of the body, so a changed
-digit is refused, not served.
+digit is refused, not served.  An extension renders only the new lines:
+it appends them to the body it loaded and continues that body's sha256,
+so the file it writes has the bytes of a full rewrite.  A body must end
+with a newline, or the first appended line would be glued to its last.
 """
 
 import os
@@ -225,8 +228,10 @@ def _cache_path(cache_dir: str, s: int) -> str:
     return os.path.join(cache_dir, f"pcat-s{s}.txt")
 
 
-def _load_cache(path: str, s: int) -> list | None:
-    # The values of a valid file; None when there is no file.
+def _load_cache(path: str, s: int) -> tuple | None:
+    # (values, body, digest) of a valid file: its values, the text after
+    # its header and the sha256 object of that text, ready to be continued
+    # by the lines an extension appends.  None when there is no file.
     try:
         with open(path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
@@ -237,15 +242,20 @@ def _load_cache(path: str, s: int) -> list | None:
     prefix = f"{CACHE_MAGIC} s={s} sha256=".encode()
     if not header.startswith(prefix):
         raise CacheIntegrityError(f"bad cache header in {path}")
-    if header[len(prefix):] != sha256(body).hexdigest().encode():
+    digest = sha256(body)
+    if header[len(prefix):] != digest.hexdigest().encode():
         raise CacheIntegrityError(f"{path}: body does not match the sha256 digest in its header")
+    # An extension appends after the last byte, so a last line without
+    # its newline would be glued to the first new one.
+    if body and not body.endswith(b"\n"):
+        raise CacheIntegrityError(f"{path}: body does not end with a newline")
     try:
-        lines = body.decode("ascii").splitlines()
+        text = body.decode("ascii")
     except UnicodeDecodeError as e:
         raise CacheIntegrityError(f"{path}: non-ASCII body") from e
     values = [0]
     bound = s  # word_count_bound(s, n), carried from n to n + 1
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(text.splitlines(), start=2):
         parts = line.split()
         if len(parts) != 2:
             raise CacheIntegrityError(f"{path}:{lineno}: expected '<n> <value>'")
@@ -267,16 +277,19 @@ def _load_cache(path: str, s: int) -> list | None:
         raise CacheIntegrityError(f"{path}: P(s,1)={values[1]} != s={s}")
     if len(values) > 2 and values[2] != 3 * s * s:
         raise CacheIntegrityError(f"{path}: P(s,2)={values[2]} != 3*s^2")
-    return values
+    return values, text, digest
 
 
-def _save_cache(path: str, s: int, values: list) -> None:
+def _save_cache(path: str, s: int, values: list, start: int, body: str, digest) -> None:
+    # body holds the lines n < start and digest is its sha256 object.  Only
+    # the lines n >= start are rendered and hashed; the file written has
+    # the bytes of a full rewrite.
     # ValueError: a value past sys.get_int_max_str_digits(), which the
     # library leaves as the caller set it
     try:
-        body = "".join(f"{n} {values[n]}\n" for n in range(1, len(values)))
-        digest = sha256(body.encode("ascii")).hexdigest()
-        write_atomic(path, f"{CACHE_MAGIC} s={s} sha256={digest}\n{body}")
+        new = "".join(f"{n} {values[n]}\n" for n in range(start, len(values)))
+        digest.update(new.encode("ascii"))
+        write_atomic(path, f"{CACHE_MAGIC} s={s} sha256={digest.hexdigest()}\n{body}{new}")
     except (OSError, ValueError) as e:
         raise CacheError(f"cannot write cache {path}: {e}") from e
 
@@ -286,13 +299,16 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     if s < 1 or n_max < 1:
         raise DomainError(f"build_table needs s >= 1 and n_max >= 1, got s={s} n_max={n_max}")
     path = None if cache_dir is None else _cache_path(cache_dir, s)
-    values = None if path is None else _load_cache(path, s)
-    if values is None:
-        values = [0, s]
-    elif len(values) > n_max:
-        return PeriTable(s=s, values=values[: n_max + 1])
+    loaded = None if path is None else _load_cache(path, s)
+    if loaded is None:
+        values, start, body, digest = [0, s], 1, "", sha256()
+    else:
+        values, body, digest = loaded
+        if len(values) > n_max:
+            return PeriTable(s=s, values=values[: n_max + 1])
+        start = len(values)
     while len(values) <= n_max:
         values.append(_closed_form_value(s, len(values), values))
     if path is not None:
-        _save_cache(path, s, values)
+        _save_cache(path, s, values, start, body, digest)
     return PeriTable(s=s, values=values)

@@ -576,6 +576,38 @@ def test_unread_flag_exits_two(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # The parser is built once per process; no flag of one call may reach
+    # the next, and a call argparse rejects leaves it usable.
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "t.json"
+    rc, stdout, _ = run(capsys, "table", "--s-list", "2,3", "--n-max", "4", "--format", "json", "--out", str(out))
+    assert rc == 0 and stdout == "" and json.loads(out.read_text())[-1] == {"n": 4, "s": 3, "P": 9531}
+    written = out.read_bytes()
+    rc, stdout, _ = run(capsys, "compute", "--s", "2", "--n", "3")
+    assert rc == 0 and stdout == "120\n" and out.read_bytes() == written
+    args = cli.build_parser().parse_args(["compute", "--s", "2", "--n", "3"])
+    assert args.out is None and "fmt" not in args and "s_list" not in args
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--s", "two", "--n", "3"])
+    assert exc.value.code == 2
+    rc, stdout, _ = run(capsys, "compute", "--s", "2", "--n", "3")
+    assert rc == 0 and stdout == "120\n"
+
+
+def test_import_builds_no_parser():
+    # every benchmark set-up imports the module: the parser is built by the first main() only
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import argparse\n"
+            "def refuse(*a, **k): raise AssertionError('parser built at import')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import pericatalan.cli as cli\n"
+            "print(cli.build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
 BIG_S = 10**200  # P(BIG_S, 22) has over 4300 digits; its cache file name stays short
 
 

@@ -375,6 +375,53 @@ def test_cache_extends_and_truncates(tmp_path):
     assert len(_cache_file(tmp_path, 2).read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("s", [2, 64, 10**200], ids=["s2", "s64", "s1e200"])
+def test_cache_extension_has_the_bytes_of_a_cold_build(tmp_path, s):
+    # An extension appends its lines and continues the digest; the file
+    # must equal the one a single cold build writes.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # P(10^200, n) passes 4300 digits from n = 22
+    try:
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        warm.mkdir()
+        cold.mkdir()
+        for top in (5, 9, 12, *range(13, 41)):
+            table = build_table(s, top, str(warm))
+            assert table.n_max == top
+        assert table.values == build_table(s, 40, str(cold)).values
+        assert _cache_file(warm, s).read_bytes() == _cache_file(cold, s).read_bytes()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_cache_crlf_body_extends_after_its_last_line(tmp_path):
+    # The new lines start at the loaded length and follow the body's bytes.
+    path = _cache_file(tmp_path, 2)
+    body = "".join(f"{n} {v}\r\n" for n, v in enumerate(GOLDEN_FIRST_TEN[2][:5], start=1)).encode()
+    path.write_bytes(f"{CACHE_MAGIC} s=2 sha256={hashlib.sha256(body).hexdigest()}\n".encode() + body)
+    assert build_table(2, 9, str(tmp_path)).values[1:] == GOLDEN_FIRST_TEN[2][:9]
+    header, _, extended = path.read_bytes().partition(b"\n")
+    assert extended.startswith(body) and extended[len(body):].startswith(b"6 487464\n")
+    assert header.endswith(hashlib.sha256(extended).hexdigest().encode())
+    assert build_table(2, 10, str(tmp_path)).values[1:] == GOLDEN_FIRST_TEN[2]
+
+
+@pytest.mark.parametrize("body", [b"1 2\n2 12", b"1 2\r\n2 12\r"], ids=["no-newline", "carriage-return"])
+def test_cache_body_without_final_newline_refused(tmp_path, capsys, body):
+    # An appended line would be glued to the last one: refused, file untouched.
+    path = _cache_file(tmp_path, 2)
+    path.write_bytes(f"{CACHE_MAGIC} s=2 sha256={hashlib.sha256(body).hexdigest()}\n".encode() + body)
+    before = path.read_bytes()
+    with pytest.raises(CacheIntegrityError, match="newline"):
+        build_table(2, 4, str(tmp_path))
+    assert cli.main(["compute", "--s", "2", "--n", "4", "--cache-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "newline" in captured.err
+    assert path.read_bytes() == before
+
+
 def test_cache_per_s_files(tmp_path):
     d = str(tmp_path)
     build_table(1, 4, d)

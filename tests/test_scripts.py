@@ -209,6 +209,42 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     assert not [p for p in repo.rglob(".pcat-*")]
 
 
+def test_bench_save_trace_runs_once_per_side_after_the_pairs(tmp_path, monkeypatch):
+    bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
+    calls = []
+
+    def runner(tree, spec, workload, seed, trace=0):
+        side = {"x = 1\n": "parent", "x = 2\n": "change"}[_read_text(tree, "src", "code.py")]
+        calls.append((side, workload, seed, trace))
+        if trace:
+            # the overhead compares drifting passes and may read negative
+            values = {"cli.write_p50_ms": 2.0 if side == "parent" else 1.5,
+                      "trace.overhead_s": -0.25 if side == "parent" else 0.5}
+            metrics = {m["name"]: {"value": values.get(m["name"], 0), "unit": m["unit"]} for m in spec["per_layer"]}
+        else:
+            metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+    argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--workloads", "cache_cli,log_growth",
+            "--out-dir", str(tmp_path), "--trace"]
+    assert bench_save.main(argv, runner=runner) == 0
+    seeds = bench_save.tag_seeds("t", 2)
+    assert [c for c in calls if c[3]] == calls[8:] == [
+        ("parent", "cache_cli", seeds[0], 1), ("change", "cache_cli", seeds[0], 1),
+        ("parent", "log_growth", seeds[0], 1), ("change", "log_growth", seeds[0], 1)]
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    trace = report["workloads"]["cache_cli"]["trace"]
+    assert trace["seed"] == seeds[0]
+    assert (trace["parent"]["attempted"], trace["parent"]["failed"], trace["parent"]["correct"]) == (3, 0, True)
+    assert trace["parent"]["metrics"]["trace.overhead_s"] == -0.25 and trace["change"]["metrics"]["trace.overhead_s"] == 0.5
+    assert trace["parent"]["metrics"]["cli.write_p50_ms"] == 2.0 and trace["change"]["metrics"]["cli.write_p50_ms"] == 1.5
+    assert report["workloads"]["cache_cli"]["parent"]["metrics"]["wall_s"]["runs"] == 2  # traced runs stay out of the pairs
+    assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
+    calls.clear()
+    assert bench_save.main(argv[:-1], runner=runner) == 0
+    assert all(not c[3] for c in calls) and "trace" not in json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["cache_cli"]
+
+
 def test_bench_save_pairs_ignore_uncommitted_edits(tmp_path, monkeypatch):
     # Only commits are measured: an edit left in the working tree, to src/
     # or to the benchmark's run length, reaches no run and no spec.
