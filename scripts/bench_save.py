@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Save one point of the benchmark trajectory as BENCH_<tag>.json.
 
-    python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b] [--trace]
+    python3 scripts/bench_save.py --tag mytag --against HEAD~1 [--pairs 10] [--workloads a,b]
 
 Measures HEAD against REV in alternating pairs.  Both revisions are
 resolved to commits before anything runs (a bad one exits 2), and if
@@ -17,10 +17,9 @@ from HEAD's BENCHMARK.json.  The pairs run in rounds: round i runs
 the pair of every workload in turn, both sides on seed i, derived from
 the tag, before round i + 1 starts, so a spell of machine load is
 spread over the workloads instead of landing on one.  The parent runs
-first in even rounds and the change first in odd ones.  With --trace,
-after the pairs, each workload runs once traced (perfbench/run.py
---trace 1) per side, parent first, on the first seed, for the per-layer
-numbers.
+first in even rounds and the change first in odd ones.  After the
+pairs, each workload runs once traced (perfbench/run.py --trace 1) per
+side, parent first, on the first seed, for the per-layer numbers.
 
 The file, written at the repository root or under --out-dir (not a
 writable directory: exit 2 before any run), records the two commits
@@ -33,12 +32,12 @@ won (ties count for neither side), the parent's quartile spread as a
 share of its median, "unresolved" when that spread exceeds the metric's
 bound and "gain" when the change won at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's quartile
-distance.  With --trace, per workload it also holds under "trace"
-the traced run of each side: its ops and every per-layer metric as
-the run printed it, trace.overhead_s among them even when negative
-(the passes it compares drift on a shared machine).  A run that exits
-nonzero stops the script before anything is written, and the file is
-replaced atomically, so it is never left half written.
+distance.  Per workload it also holds under "trace" the traced run of
+each side: its ops and every per-layer metric as the run printed it,
+trace.overhead_s among them even when negative (the passes it compares
+drift on a shared machine).  A run that exits nonzero stops the
+script before anything is written, and the file is replaced atomically,
+so it is never left half written.
 
 For the spread of a single tree over seeds, use perfbench/spread.py --out.
 """
@@ -149,7 +148,7 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
                 print(f"{workload} seed {seed} ({order[0]} first): wall_s "
                       f"{pair['parent']['wall_s']} -> {pair['change']['wall_s']}", flush=True)
         traces = {}
-        for workload in workloads if args.trace else ():
+        for workload in workloads:
             traces[workload] = {"seed": seeds[0]}
             for side in ("parent", "change"):
                 run = runner(trees[side], spec, workload, seeds[0], trace=1)
@@ -162,11 +161,10 @@ def paired(args, spec: dict, workloads: list, runner) -> int:
                 **{side: aggregate(sides, spec["end_to_end"]) for side, sides in runs[workload].items()},
                 "compare": compare(runs[workload]["parent"], runs[workload]["change"], spec["end_to_end"]),
                 "pairs": pairs[workload],
+                "trace": traces[workload],
             }
             for workload in workloads
         }
-        for workload, trace in traces.items():
-            report_workloads[workload]["trace"] = trace
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         git("worktree", "prune")  # drops the entries of both worktrees
@@ -194,7 +192,6 @@ def main(argv=None, runner=run_in) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--out-dir", default=ROOT)
-    parser.add_argument("--trace", action="store_true", help="after the pairs, one traced run per side and workload")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = [w for w in workloads if w not in names]

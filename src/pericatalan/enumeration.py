@@ -30,9 +30,12 @@ place a column grows, and peri_catalan reads it.  It adds an opt-in
 plain-text cache, one file per s, so repeated runs extend rather than
 recompute.  Its header carries a sha256 digest of the body, so a changed
 digit is refused, not served.  An extension renders only the new lines:
-it appends them to the body it loaded and continues that body's sha256,
-so the file it writes has the bytes of a full rewrite.  A body must end
-with a newline, or the first appended line would be glued to its last.
+it appends them to the body it loaded and continues that body's sha256.
+For a file the library wrote, the result has the bytes of a full
+rewrite; a hand-edited body that still passes every load check (CRLF
+line ends, say) is kept as it is and the new lines follow it.  A body
+must end with a newline, or the first appended line would be glued to
+its last.
 """
 
 import os
@@ -282,8 +285,9 @@ def _load_cache(path: str, s: int) -> tuple | None:
 
 def _save_cache(path: str, s: int, values: list, start: int, body: str, digest) -> None:
     # body holds the lines n < start and digest is its sha256 object.  Only
-    # the lines n >= start are rendered and hashed; the file written has
-    # the bytes of a full rewrite.
+    # the lines n >= start are rendered and hashed.  If body is as this
+    # function wrote it, the file has the bytes of a full rewrite; a
+    # hand-edited valid body is kept byte for byte.
     # ValueError: a value past sys.get_int_max_str_digits(), which the
     # library leaves as the caller set it
     try:

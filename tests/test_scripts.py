@@ -156,12 +156,15 @@ def _worktrees(repo):
 def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     # The runner is stubbed: the benchmark itself never runs here.
     bench_save, repo, temp = _paired_setup(tmp_path, monkeypatch)
-    calls = []
+    calls, traced = [], []
 
-    def runner(tree, spec, workload, seed):
+    def runner(tree, spec, workload, seed, trace=0):
         # both sides run from checkouts outside the repository, told apart by their src/
         assert not os.path.realpath(tree).startswith(os.path.realpath(repo))
         side = {"x = 1\n": "parent", "x = 2\n": "change"}[_read_text(tree, "src", "code.py")]
+        if trace:
+            traced.append((side, workload, seed))
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"trace.overhead_s": {"value": 0.0, "unit": "s"}}}
         calls.append((side, workload, seed))
         i = sum(1 for c in calls if c[:2] == (side, workload)) - 1
         wall = [2.0, 2.2, 2.4][i] / (2 if side == "change" else 1)
@@ -182,6 +185,8 @@ def test_bench_save_pairs_alternate_and_aggregate(tmp_path, monkeypatch):
     order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
     assert calls == [(side, w, seed) for seed, sides in zip(seeds, order)
                      for w in ("exact_table", "log_growth") for side in sides]
+    # after the pairs, one traced run per side and workload, parent first, on the first seed
+    assert traced == [(side, w, seeds[0]) for w in ("exact_table", "log_growth") for side in ("parent", "change")]
     assert [f.name for f in out.iterdir()] == ["BENCH_t.json"]  # no .pcat-* temp litter
     report = json.loads((out / "BENCH_t.json").read_text())
     parent = subprocess.run(["git", "rev-parse", "HEAD~1"], cwd=repo, capture_output=True, text=True).stdout.strip()
@@ -226,7 +231,7 @@ def test_bench_save_trace_runs_once_per_side_after_the_pairs(tmp_path, monkeypat
         return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
 
     argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--workloads", "cache_cli,log_growth",
-            "--out-dir", str(tmp_path), "--trace"]
+            "--out-dir", str(tmp_path)]
     assert bench_save.main(argv, runner=runner) == 0
     seeds = bench_save.tag_seeds("t", 2)
     assert [c for c in calls if c[3]] == calls[8:] == [
@@ -240,9 +245,6 @@ def test_bench_save_trace_runs_once_per_side_after_the_pairs(tmp_path, monkeypat
     assert trace["parent"]["metrics"]["cli.write_p50_ms"] == 2.0 and trace["change"]["metrics"]["cli.write_p50_ms"] == 1.5
     assert report["workloads"]["cache_cli"]["parent"]["metrics"]["wall_s"]["runs"] == 2  # traced runs stay out of the pairs
     assert list(temp.iterdir()) == [] and _worktrees(repo) == [f"worktree {os.path.realpath(repo)}"]
-    calls.clear()
-    assert bench_save.main(argv[:-1], runner=runner) == 0
-    assert all(not c[3] for c in calls) and "trace" not in json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["cache_cli"]
 
 
 def test_bench_save_pairs_ignore_uncommitted_edits(tmp_path, monkeypatch):
@@ -254,15 +256,16 @@ def test_bench_save_pairs_ignore_uncommitted_edits(tmp_path, monkeypatch):
     (repo / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 1}))
     seen = []
 
-    def runner(tree, spec, workload, seed):
+    def runner(tree, spec, workload, seed, trace=0):
         seen.append((_read_text(tree, "src", "code.py"), json.loads(_read_text(tree, "BENCHMARK.json"))["run_seconds"],
                      spec["run_seconds"]))
-        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["per_layer" if trace else "end_to_end"]}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
     argv = ["--tag", "t", "--against", "HEAD~1", "--pairs", "2", "--workloads", "log_growth", "--out-dir", str(tmp_path)]
     assert bench_save.main(argv, runner=runner) == 0
-    assert sorted(seen) == [("x = 1\n", 25, 25)] * 2 + [("x = 2\n", 25, 25)] * 2
+    # two pairs and the traced run, per side
+    assert sorted(seen) == [("x = 1\n", 25, 25)] * 3 + [("x = 2\n", 25, 25)] * 3
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True).stdout.strip()
     assert report["commit"] == head and report["run_seconds"] == 25
