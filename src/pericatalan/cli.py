@@ -14,8 +14,6 @@ import sys
 from . import asymptotics, enumeration, freewords
 from .errors import CacheError, DomainError, ResourceGuardError
 
-EXACT_CEILING = 3000
-
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN = 2
@@ -61,11 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     all_formats = ("text", "csv", "json")
 
-    p = sub.add_parser("compute", help="one value P(s, n) or its log")
+    p = sub.add_parser("compute", help="one value P(s, n) or its log; exact mode past enumeration.COLUMN_CEILING exits 4")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "logspace"), default="exact")
-    p.add_argument("--force-exact", action="store_true", help=f"allow exact mode past n={EXACT_CEILING}")
     output(p)
     cache(p)
     p.set_defaults(handler=cmd_compute)
@@ -73,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="table of P(s, n) over an s-list and n range")
     p.add_argument("--s-list", type=_int_list, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--force-exact", action="store_true")
     output(p, all_formats)
     cache(p)
     p.set_defaults(handler=cmd_table)
@@ -141,11 +137,6 @@ def _note(msg):
     print(f"note: {msg}", file=sys.stderr)
 
 
-def _check_exact_ceiling(args, n):
-    if n > EXACT_CEILING and not args.force_exact:
-        raise ResourceGuardError(f"exact mode past n={EXACT_CEILING} needs --force-exact (requested n={n})")
-
-
 def cmd_compute(args) -> tuple[int, str]:
     if args.s < 0 or args.n < 0:
         raise DomainError(f"compute needs s >= 0 and n >= 0, got s={args.s} n={args.n}")
@@ -153,7 +144,6 @@ def cmd_compute(args) -> tuple[int, str]:
         _note(f"degenerate input s={args.s} n={args.n}: no such words, count is 0")
         return EXIT_OK, "0\n"
     if args.mode == "exact":
-        _check_exact_ceiling(args, args.n)
         return EXIT_OK, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n"
     table = asymptotics.log_peri_table(args.s, max(args.n, 2))
     return EXIT_OK, f"{table.values[args.n]:.6g}\n"
@@ -164,11 +154,10 @@ def cmd_table(args) -> tuple[int, str]:
         raise DomainError(f"table needs n_max >= 1, got {args.n_max}")
     if any(s < 0 for s in args.s_list):
         raise DomainError(f"table needs s >= 0, got {args.s_list}")
-    _check_exact_ceiling(args, args.n_max)
     if 0 in args.s_list:
         _note("degenerate s=0 in list: no such words, all counts are 0")
     columns = {}
-    for s in args.s_list:
+    for s in sorted(args.s_list, reverse=True):  # largest s first: a refused list of cold columns computes nothing
         if s == 0:
             columns[s] = [0] * (args.n_max + 1)
         else:
@@ -284,8 +273,8 @@ def cmd_word(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    # Exact counts outgrow Python's int <-> str digit limit (4300 by
-    # default) inside EXACT_CEILING, e.g. P(12, n) from n = 1998.  The limit
+    # Exact counts outgrow Python's int <-> str digit limit (4300 by default)
+    # inside enumeration.COLUMN_CEILING, e.g. P(12, n) from n = 1998.  The limit
     # is lifted for this run only and the caller's value set back after.
     # Python 3.10 builds older than 3.10.7 have no limit.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None

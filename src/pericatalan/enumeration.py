@@ -19,11 +19,15 @@ are kept side by side:
   cancelation.  P(s, n) = 3 * sum_k m(n - k, k).  It fills bottom-up by
   pair sum n = a + b over the canonical half a >= b, in the order and
   with the halved sum that asymptotics.log_peri_table uses for its
-  float ratios rho = m / (P_a P_b).  It keeps the whole m triangle, so
-  a fill priced above FILL_CEILING bytes raises ResourceGuardError.
+  float ratios rho = m / (P_a P_b).
 
 The two routes share no code below the P_0/P_1 base cases, so agreement
 between them is a real consistency check, exercised in the test suite.
+
+Two guards price work before it starts and raise ResourceGuardError
+past a module constant read at call time: build_table the closed-form
+time of the values it adds (COLUMN_CEILING), _fill the bytes of its m
+triangle (FILL_CEILING).
 
 All arithmetic is exact (Python integers).  build_table is the one
 place a column grows, and peri_catalan reads it.  It adds an opt-in
@@ -40,7 +44,7 @@ its last.
 
 import os
 from dataclasses import dataclass
-from math import comb, log2
+from math import comb, inf, log2
 
 from .errors import CacheError, CacheIntegrityError, DomainError, ResourceGuardError
 
@@ -61,6 +65,11 @@ CACHE_MAGIC = "pcat-cache v2"
 # N=1500 371 MB; s=64 N=1000 274 MB.  _triangle_bytes tracks those less
 # the interpreter's 28 MB to within 10%: N=1100 at s=1 passes, 1500 does not.
 FILL_CEILING = 256 * 2**20
+
+# Largest closed-form extension build_table computes, as a multiple of the
+# cold s = 1 column to n = 3000 (see _column_price).  A cold column passes
+# to n = 3000 at s = 1, 2266 at s = 12, 2014 at s = 64, 361 at s = 10^200.
+COLUMN_CEILING = 1.0
 
 
 def catalan(n: int) -> int:
@@ -298,6 +307,14 @@ def _save_cache(path: str, s: int, values: list, start: int, body: str, digest) 
         raise CacheError(f"cannot write cache {path}: {e}") from e
 
 
+def _column_price(s: int, m: int, n: int) -> float:
+    # Closed-form time of the values m + 1 .. n, in units of the cold s = 1
+    # column to n = 3000: cold columns took C n^3.36 log2(12 s)^1.36 to within
+    # a factor 1.5 for s = 1 .. 10^200, n = 100 .. 3000 (Python 3.11).
+    # n**3.36 overflows past about 10^91.
+    return inf if n > 10**90 else (n**3.36 - m**3.36) * log2(12 * s) ** 1.36 / ((3000**3.36 - 1) * log2(12) ** 1.36)
+
+
 def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max."""
     if s < 1 or n_max < 1:
@@ -311,6 +328,11 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
         if len(values) > n_max:
             return PeriTable(s=s, values=values[: n_max + 1])
         start = len(values)
+    price = _column_price(s, len(values) - 1, n_max)
+    if price > COLUMN_CEILING:
+        raise ResourceGuardError(
+            f"exact column to n={n_max} refused: n = {len(values)} .. {n_max} at s={s} is priced at {price:.4g} "
+            f"times the cold s=1 column to n=3000, past enumeration.COLUMN_CEILING = {COLUMN_CEILING:g}")
     while len(values) <= n_max:
         values.append(_closed_form_value(s, len(values), values))
     if path is not None:

@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -66,9 +67,33 @@ def test_compute_negative_input_is_not_degenerate(capsys):
 
 def test_exact_ceiling_guard(capsys):
     rc, _, err = run(capsys, "compute", "--s", "1", "--n", "3001")
-    assert rc == 4 and "--force-exact" in err
+    assert rc == 4 and "n=3001" in err and "enumeration.COLUMN_CEILING" in err
     rc, _, err = run(capsys, "table", "--s-list", "1", "--n-max", "4000")
     assert rc == 4
+    with pytest.raises(SystemExit) as exc:  # the library constant is the only way past the guard
+        run(capsys, "compute", "--s", "1", "--n", "3", "--force-exact")
+    assert exc.value.code == 2
+
+
+def test_exact_guard_prices_digits_before_any_bigint_work(capsys, monkeypatch, tmp_path):
+    # The guard prices the digits of s as well as n, and refuses before
+    # the closed form runs, so nothing is computed or written.
+    def formula(*args):
+        raise AssertionError("closed form called before the exact guard")
+
+    monkeypatch.setattr(enumeration, "_closed_form_value", formula)
+    out_file = tmp_path / "out.txt"
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "compute", "--s", str(10**200), "--n", "3000", "--cache-dir", str(tmp_path),
+                       "--out", str(out_file))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 4 and out == "" and "refused:" in err
+    assert not list(tmp_path.iterdir())
+    rc, out, _ = run(capsys, "compute", "--s", "12", "--n", "3000")
+    assert rc == 4 and out == ""
+    # priciest column first: s = 1 alone would pass, but is never built
+    rc, out, _ = run(capsys, "table", "--s-list", f"1,{10**200}", "--n-max", "3000", "--cache-dir", str(tmp_path))
+    assert rc == 4 and out == "" and not list(tmp_path.iterdir())
 
 
 def test_table_csv(capsys):

@@ -265,6 +265,50 @@ def test_fill_guard_prices_the_triangle(monkeypatch):
         aux_bivariate(2, 12, 5)
 
 
+class _Sentinel(Exception):
+    pass
+
+
+def _closed_form_sentinel(*args):
+    raise _Sentinel
+
+
+def test_column_guard_refuses_before_any_bigint_work(tmp_path, monkeypatch):
+    # s = 10^200 to n = 3000 would take about a day; the price comes first.
+    monkeypatch.setattr(enumeration, "_closed_form_value", _closed_form_sentinel)
+    with pytest.raises(ResourceGuardError, match=r"to n=3000 refused: .*enumeration\.COLUMN_CEILING"):
+        build_table(10**200, 3000, str(tmp_path))
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ResourceGuardError):
+        build_table(12, 3000)
+
+
+def test_column_guard_keeps_the_s1_boundary(monkeypatch):
+    # the cold s = 1 column to n = 3000 is the unit of the price: it passes
+    monkeypatch.setattr(enumeration, "_closed_form_value", _closed_form_sentinel)
+    with pytest.raises(_Sentinel):
+        build_table(1, 3000)
+    with pytest.raises(ResourceGuardError, match=r"to n=3001 refused"):
+        build_table(1, 3001)
+    with pytest.raises(ResourceGuardError, match=r"priced at inf times"):
+        build_table(1, 10**100)  # n**3.36 would overflow a float
+
+
+def test_column_guard_prices_only_the_new_values(tmp_path, monkeypatch):
+    # The ceiling is read at call time; a cached prefix is not priced again.
+    # 20 -> 24 costs less than 1 -> 20 (1.2^3.36 < 2), 20 -> 25 does not.
+    d = str(tmp_path)
+    monkeypatch.setattr(enumeration, "COLUMN_CEILING", enumeration._column_price(2, 1, 20))
+    with pytest.raises(ResourceGuardError, match=r"n = 2 \.\. 24 at s=2"):
+        build_table(2, 24)
+    build_table(2, 20, d)
+    assert build_table(2, 24, d).values == [peri_catalan_recursive(2, n) for n in range(25)]
+    monkeypatch.setattr(enumeration, "COLUMN_CEILING", 0)
+    assert build_table(2, 10, d).values == [peri_catalan_recursive(2, n) for n in range(11)]
+    with pytest.raises(ResourceGuardError, match=r"n = 25 \.\. 25 at s=2"):
+        build_table(2, 25, d)
+
+
 def _pairs(n_max):
     # the canonical pairs hi >= lo >= 1 with hi + lo <= n_max
     return {(hi, n - hi) for n in range(2, n_max + 1) for hi in range((n + 1) // 2, n)}
