@@ -193,7 +193,11 @@ def cancelation_defect(s: int, n: int, table: LogTable) -> float:
 
 def defect_series(s_values, proxy_n: int = 2000):
     """(s, defect at proxy_n) for each s, one log table per s."""
-    return [(s, cancelation_defect(s, proxy_n, log_peri_table(s, proxy_n))) for s in s_values]
+    out = []
+    for s in s_values:
+        table = log_peri_table(s, proxy_n)
+        out.append((s, cancelation_defect(s, proxy_n, table)))
+    return out
 
 
 def first_quotient_violation(table: LogTable):

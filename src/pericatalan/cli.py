@@ -159,6 +159,7 @@ def cmd_table(args) -> tuple[int, str]:
     columns = {}
     for s in sorted(args.s_list, reverse=True):  # largest s first: a refused list of cold columns computes nothing
         if s == 0:
+            enumeration.check_column(0, 1, args.n_max)
             columns[s] = [0] * (args.n_max + 1)
         else:
             columns[s] = enumeration.build_table(s, args.n_max, args.cache_dir).values

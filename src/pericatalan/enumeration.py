@@ -25,9 +25,9 @@ The two routes share no code below the P_0/P_1 base cases, so agreement
 between them is a real consistency check, exercised in the test suite.
 
 Two guards price work before it starts and raise ResourceGuardError
-past a module constant read at call time: build_table the closed-form
-time of the values it adds (COLUMN_CEILING), _fill the bytes of its m
-triangle (FILL_CEILING).
+past a module constant read at call time: check_column the closed-form
+time of the values build_table adds (COLUMN_CEILING), _fill the bytes
+of its m triangle (FILL_CEILING).
 
 All arithmetic is exact (Python integers).  build_table is the one
 place a column grows, and peri_catalan reads it.  It adds an opt-in
@@ -315,6 +315,18 @@ def _column_price(s: int, m: int, n: int) -> float:
     return inf if n > 10**90 else (n**3.36 - m**3.36) * log2(12 * s) ** 1.36 / ((3000**3.36 - 1) * log2(12) ** 1.36)
 
 
+def check_column(s: int, m: int, n_max: int) -> None:
+    """Raise ResourceGuardError if the values n = m + 1 .. n_max of the
+    s column are priced past COLUMN_CEILING, read at call time.  An s = 0
+    column is all zeros, but its n_max rows still cost: it is priced as
+    s = 1."""
+    price = _column_price(max(s, 1), m, n_max)
+    if price > COLUMN_CEILING:
+        raise ResourceGuardError(
+            f"exact column to n={n_max} refused: n = {m + 1} .. {n_max} at s={s} is priced at {price:.4g} "
+            f"times the cold s=1 column to n=3000, past enumeration.COLUMN_CEILING = {COLUMN_CEILING:g}")
+
+
 def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     """Compute (or load, extend and re-save) P(s, n) for n = 0 .. n_max."""
     if s < 1 or n_max < 1:
@@ -328,11 +340,7 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
         if len(values) > n_max:
             return PeriTable(s=s, values=values[: n_max + 1])
         start = len(values)
-    price = _column_price(s, len(values) - 1, n_max)
-    if price > COLUMN_CEILING:
-        raise ResourceGuardError(
-            f"exact column to n={n_max} refused: n = {len(values)} .. {n_max} at s={s} is priced at {price:.4g} "
-            f"times the cold s=1 column to n=3000, past enumeration.COLUMN_CEILING = {COLUMN_CEILING:g}")
+    check_column(s, len(values) - 1, n_max)
     while len(values) <= n_max:
         values.append(_closed_form_value(s, len(values), values))
     if path is not None:

@@ -52,4 +52,11 @@ def euclid_trace(n: int, k: int) -> EuclidTrace:
     epsilons = [1]
     for l in range(steps):
         epsilons.append(epsilons[-1] + quotients[l])
-    return EuclidTrace(n, k, tuple(remainders), tuple(quotients), tuple(epsilons), steps)
+    return EuclidTrace(
+        n=n,
+        k=k,
+        remainders=tuple(remainders),
+        quotients=tuple(quotients),
+        epsilons=tuple(epsilons),
+        steps=steps,
+    )

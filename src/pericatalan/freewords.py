@@ -184,7 +184,9 @@ def is_reduced(w) -> bool:
 
 
 def _nodally_equal(x, y):
-    return x == y or normalize_full(x) == normalize_full(y)
+    if x == y:
+        return True
+    return normalize_full(x) == normalize_full(y)
 
 
 def _triality_root_match(op, u, v):

@@ -96,6 +96,17 @@ def test_exact_guard_prices_digits_before_any_bigint_work(capsys, monkeypatch, t
     assert rc == 4 and out == "" and not list(tmp_path.iterdir())
 
 
+def test_zero_column_keeps_the_s1_boundary(capsys):
+    # An s = 0 column is all zeros, but its rows grow with n_max: it is
+    # priced as the cold s = 1 column, so n_max = 10^12 allocates nothing.
+    rc, out, err = run(capsys, "table", "--s-list", "0", "--n-max", str(10**12))
+    assert rc == 4 and out == "" and "Traceback" not in err
+    rc, out, _ = run(capsys, "table", "--s-list", "0", "--n-max", "3001")
+    assert rc == 4 and out == ""
+    rc, out, _ = run(capsys, "table", "--s-list", "0", "--n-max", "3000")
+    assert rc == 0 and out.count("\n") == 3000
+
+
 def test_table_csv(capsys):
     rc, out, _ = run(capsys, "table", "--s-list", "4", "--n-max", "2", "--format", "csv")
     assert rc == 0
