@@ -157,7 +157,7 @@ def cmd_table(args) -> tuple[int, str]:
     if 0 in args.s_list:
         _note("degenerate s=0 in list: no such words, all counts are 0")
     columns = {}
-    for s in sorted(args.s_list, reverse=True):  # largest s first: a refused list of cold columns computes nothing
+    for s in sorted(set(args.s_list), reverse=True):  # once each, largest first: a refused list of cold columns computes nothing
         if s == 0:
             enumeration.check_column(0, 1, args.n_max)
             columns[s] = [0] * (args.n_max + 1)
@@ -175,7 +175,7 @@ def cmd_table(args) -> tuple[int, str]:
 def cmd_oracle(args) -> tuple[int, str]:
     if args.rooted is not None:
         a, b = args.rooted
-        # The oracle's guards refuse a large split before the formula runs.
+        # The oracle's guard refuses a large split before the formula runs.
         counts = [(op, freewords.count_reduced_rooted(args.s, a, b, op)) for op in freewords.ALL_OPS]
         expected = enumeration.aux_bivariate(args.s, a, b)
         checks = [(f"s={args.s} a={a} b={b} root={op.name}", got, expected) for op, got in counts]
@@ -183,9 +183,9 @@ def cmd_oracle(args) -> tuple[int, str]:
         if args.n is None and (args.n_max is None or args.n_max < 1):
             raise DomainError(f"oracle needs --n, or --n-max >= 1 (got n_max={args.n_max})")
         ns = range(args.n, args.n + 1) if args.n is not None else range(1, args.n_max + 1)
-        # The oracle's guards refuse a bad or large n before the formula
-        # runs.  They grow with n, so the largest n is priced first and a
-        # refused span costs no brute-force work.
+        # The oracle's guard refuses a bad or large n before the formula
+        # runs.  Its price grows with n, so the largest n is priced first
+        # and a refused span costs no brute-force work.
         counts = {n: freewords.count_reduced(args.s, n) for n in reversed(ns)}
         column = enumeration.build_table(args.s, ns[-1]).values
         checks = [(f"s={args.s} n={n}", counts[n], column[n]) for n in ns]

@@ -39,10 +39,8 @@ basic word, recovered by normalize_full.
 
 from itertools import product
 
-from .enumeration import word_count_bound
 from .errors import DomainError, ResourceGuardError, WordSyntaxError
 
-MAX_ENUM_LENGTH = 8
 ENUM_BUDGET = 10**8
 MAX_CLASS_LENGTH = 16
 # parse_word refuses deeper '(' nesting, which keeps it and the recursive
@@ -105,16 +103,26 @@ def leaf_count(w) -> int:
     return leaf_count(w[1]) + leaf_count(w[2])
 
 
-def _guard_enum(s, n):
-    # The limits are read here, at call time, so that setting
-    # MAX_ENUM_LENGTH or ENUM_BUDGET on the module moves every guard.
-    if s < 1 or n < 1:
-        raise DomainError(f"enumeration needs s >= 1 and n >= 1, got s={s} n={n}")
-    if n > MAX_ENUM_LENGTH:
-        raise ResourceGuardError(f"word length {n} exceeds limit {MAX_ENUM_LENGTH}")
-    cost = word_count_bound(s, n)
-    if cost > ENUM_BUDGET:
-        raise ResourceGuardError(f"enumeration of {cost} trees exceeds budget {ENUM_BUDGET}")
+def _guard_enum(s, a, b=0):
+    # The oracle's one limit, ENUM_BUDGET, read at call time.  A job on a
+    # leaves (b = 0) is priced at word_count_bound(s, a) trees, a rooted
+    # split at its pairs plus the max(a, b)-leaf pool it keeps.  Each bound
+    # is walked up as in enumeration._load_cache and cut off past the
+    # budget, so a huge job prices only small integers.
+    if s < 1 or a < 1:
+        raise DomainError(f"enumeration needs s >= 1 and n >= 1, got s={s} n={a}")
+
+    def trees(n):
+        t = s
+        for m in range(1, n):
+            if t > ENUM_BUDGET:
+                break
+            t = t * 3 * s * 2 * (2 * m - 1) // (m + 1)
+        return t
+
+    price = trees(a) * trees(b) + trees(max(a, b)) if b else trees(a)
+    if price > ENUM_BUDGET:
+        raise ResourceGuardError(f"oracle job of at least {price} trees exceeds budget {ENUM_BUDGET}")
 
 
 def _products(pools, m):
@@ -139,19 +147,12 @@ def _pools(s, up_to, reduced=False):
 def enumerate_basic_trees(s: int, n: int):
     """Stream of every basic tree with n leaves on s generators.
 
-    Deterministic order; total count 3^(n-1) * s^n * catalan(n).
-    The MAX_ENUM_LENGTH and ENUM_BUDGET guards fire before the first
-    tree is produced.
+    Deterministic order; total count 3^(n-1) * s^n * catalan(n).  That
+    count is priced against ENUM_BUDGET, read at call time, before any
+    tree or subtree pool is built.
     """
     _guard_enum(s, n)
-    return _tree_stream(s, n)
-
-
-def _tree_stream(s, n):
-    if n == 1:
-        yield from range(1, s + 1)
-        return
-    yield from _products(_pools(s, n - 1), n)
+    return iter(range(1, s + 1)) if n == 1 else _products(_pools(s, n - 1), n)
 
 
 def _basic_root_match(op, u, v):
@@ -230,9 +231,9 @@ def count_reduced(s: int, n: int) -> int:
     Every candidate (op, u, v) with u and v drawn from the pools of
     reduced subtrees is built and its root tested against the six
     patterns; the subtrees need no test, being reduced already.  The
-    guards still price the full 3^(n-1) s^n C_n basic trees against
-    MAX_ENUM_LENGTH and ENUM_BUDGET, read at call time: to lift a
-    limit, set the module constant."""
+    guard still prices the full 3^(n-1) s^n C_n basic trees against
+    ENUM_BUDGET, read at call time: to lift the limit, set the module
+    constant."""
     _guard_enum(s, n)
     if n == 1:
         return s
@@ -245,18 +246,14 @@ def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
 
     Each pair from the reduced a- and b-leaf pools is joined and only
     the root tested; an opposite root is tested through its basic nodal
-    representative (op.opposite, y, x).  The guards read MAX_ENUM_LENGTH
-    for a + b and ENUM_BUDGET for the pairs of the full basic pools, both
-    at call time."""
+    representative (op.opposite, y, x).  The guard prices the pairs of
+    the full basic a- and b-leaf pools plus the max(a, b)-leaf pool it
+    keeps against ENUM_BUDGET, read at call time."""
     if not isinstance(root, OpSymbol):
         raise DomainError(f"root must be an OpSymbol, got {root!r}")
     if s < 1 or a < 1 or b < 1:
         raise DomainError(f"count_reduced_rooted needs s, a, b >= 1, got s={s} a={a} b={b}")
-    if a + b > MAX_ENUM_LENGTH:
-        raise ResourceGuardError(f"word length {a + b} exceeds limit {MAX_ENUM_LENGTH}")
-    pairs = word_count_bound(s, a) * word_count_bound(s, b)
-    if pairs > ENUM_BUDGET:
-        raise ResourceGuardError(f"{pairs} candidate pairs exceed budget {ENUM_BUDGET}")
+    _guard_enum(s, a, b)
     pools = _pools(s, max(a, b), reduced=True)
     if not root.is_basic:
         root, a, b = root.opposite, b, a

@@ -163,6 +163,27 @@ def test_table_bytes_every_format(capsys):
     assert out == json.dumps([{"n": n, "s": s, "P": p} for n, s, p in TABLE_ROWS], indent=2) + "\n"
 
 
+def test_table_builds_a_repeated_s_once(capsys, monkeypatch):
+    # a repeated s is one column, built once; each occurrence still prints
+    calls = []
+    build = enumeration.build_table
+
+    def recording(s, n_max, cache_dir=None):
+        calls.append(s)
+        return build(s, n_max, cache_dir)
+
+    monkeypatch.setattr(enumeration, "build_table", recording)
+    argv = ("table", "--s-list", "2,7,2,0,2", "--n-max", "3")
+    rows = [(n, s, {2: [0, 2, 12, 120], 0: [0] * 4, 7: [0, 7, 147, 5880]}[s][n]) for n in (1, 2, 3) for s in (2, 7, 2, 0, 2)]
+    _, text, _ = run(capsys, *argv)
+    assert text == "".join(f"n={n:<4d} s={s:<4d} P={p:>4}\n" for n, s, p in rows)
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert csv == "n,s,P\n" + "".join(f"{n},{s},{p}\n" for n, s, p in rows)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps([{"n": n, "s": s, "P": p} for n, s, p in rows], indent=2) + "\n"
+    assert calls == [7, 2] * 3
+
+
 def _quotient_reference(s, n_max):
     # ln P, ln(3^(n-1) s^n C_n) and quotient() for n = 2 .. n_max
     t = asymptotics.log_peri_table(s, n_max)
@@ -273,27 +294,28 @@ def test_oracle_budget_flag(capsys, monkeypatch):
 def test_oracle_limits_are_read_at_call_time(capsys, monkeypatch):
     # the library and pcat follow a module constant changed after import
     fw = freewords
-    monkeypatch.setattr(fw, "MAX_ENUM_LENGTH", 9)
-    for call in (lambda: fw.enumerate_basic_trees(1, 10), lambda: fw.count_reduced(1, 10),
-                 lambda: fw.count_reduced_rooted(1, 5, 5, fw.MUL)):
-        with pytest.raises(ResourceGuardError, match="^word length 10 exceeds limit 9$"):
+    for call in (lambda: fw.enumerate_basic_trees(1, 11), lambda: fw.count_reduced(1, 11)):
+        with pytest.raises(ResourceGuardError, match="^oracle job of at least 991787004 trees exceeds budget 100000000$"):
             call()
-    assert fw.count_reduced_rooted(1, 5, 4, fw.MUL) == enumeration.aux_bivariate(1, 5, 4)
-    rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "10")
-    assert rc == 4 and out == "" and "word length 10 exceeds limit 9" in err
+    rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "11")
+    assert rc == 4 and out == "" and "oracle job of at least 991787004 trees exceeds budget 100000000" in err
     rc, out, _ = run(capsys, "oracle", "--s", "1", "--rooted", "5,4")
     assert rc == 0 and out.count(" ok\n") == 6
     monkeypatch.setattr(fw, "ENUM_BUDGET", 10)
     for call in (lambda: fw.enumerate_basic_trees(1, 3), lambda: fw.count_reduced(1, 3)):
-        with pytest.raises(ResourceGuardError, match="^enumeration of 18 trees exceeds budget 10$"):
+        with pytest.raises(ResourceGuardError, match="^oracle job of at least 18 trees exceeds budget 10$"):
             call()
-    with pytest.raises(ResourceGuardError, match="^18 candidate pairs exceed budget 10$"):
+    # 18 pairs plus the 3-leaf pool of 18 trees
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 36 trees exceeds budget 10$"):
         fw.count_reduced_rooted(1, 3, 1, fw.MUL)
     assert fw.count_reduced(1, 2) == 3 and fw.count_reduced_rooted(1, 2, 1, fw.MUL) == enumeration.aux_bivariate(1, 2, 1)
     rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "3")
-    assert rc == 4 and out == "" and "enumeration of 18 trees exceeds budget 10" in err
+    assert rc == 4 and out == "" and "oracle job of at least 18 trees exceeds budget 10" in err
     rc, out, err = run(capsys, "oracle", "--s", "1", "--rooted", "3,1")
-    assert rc == 4 and out == "" and "18 candidate pairs exceed budget 10" in err
+    assert rc == 4 and out == "" and "oracle job of at least 36 trees exceeds budget 10" in err
+    monkeypatch.setattr(fw, "ENUM_BUDGET", 36)
+    rc, out, _ = run(capsys, "oracle", "--s", "1", "--rooted", "3,1")
+    assert rc == 0 and out.count(" ok\n") == 6
 
 
 def test_oracle_span_prices_largest_n_first(capsys, monkeypatch):
@@ -311,14 +333,19 @@ def test_oracle_span_prices_largest_n_first(capsys, monkeypatch):
 
 
 def test_oracle_refused_span_allocates_nothing_per_n(capsys):
-    tracemalloc.start()
-    try:
-        rc, out, err = run(capsys, "oracle", "--s", "1", "--n-max", "1000000")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-    assert rc == 4 and out == "" and "word length 1000000 exceeds limit 8" in err
+    # the price is walked up in small integers and cut off past the budget,
+    # never built as a bigint of a million leaves
+    for span in (("--n-max", "1000000"), ("--rooted", "1000000,1000000")):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "oracle", "--s", "1", *span)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20 and elapsed < 1.0, span
+        assert rc == 4 and out == "" and "exceeds budget 100000000" in err, span
 
 
 def test_oracle_missing_n(capsys):

@@ -100,7 +100,7 @@ def test_enumeration_guards(monkeypatch):
     with pytest.raises(DomainError):
         fw.enumerate_basic_trees(2, 0)
     with pytest.raises(ResourceGuardError):
-        fw.enumerate_basic_trees(1, 9)
+        fw.enumerate_basic_trees(1, 11)
     with pytest.raises(ResourceGuardError):
         with monkeypatch.context() as m:
             m.setattr(fw, "ENUM_BUDGET", 100)
@@ -110,8 +110,11 @@ def test_enumeration_guards(monkeypatch):
     with pytest.raises(ResourceGuardError):
         gen = fw.enumerate_basic_trees(3, 7)
     assert gen is None
-    # a raised limit lifts the refusal; counted as a stream, never held as a list
-    monkeypatch.setattr(fw, "MAX_ENUM_LENGTH", 9)
+    # a budget of exactly the tree count admits the job
+    with monkeypatch.context() as m:
+        m.setattr(fw, "ENUM_BUDGET", word_count_bound(2, 4))
+        assert sum(1 for _ in fw.enumerate_basic_trees(2, 4)) == 2160
+    # the budget alone limits length; counted as a stream, never held as a list
     assert sum(1 for _ in fw.enumerate_basic_trees(1, 9)) == word_count_bound(1, 9)
 
 
@@ -206,12 +209,34 @@ def test_count_reduced_rooted_guards(monkeypatch):
         fw.count_reduced_rooted(1, 1, 1, "mul")
     with pytest.raises(DomainError):
         fw.count_reduced_rooted(1, 0, 2, fw.MUL)
-    with pytest.raises(ResourceGuardError):
-        fw.count_reduced_rooted(1, 5, 4, fw.MUL)
+    # 95 698 746 pairs pass the budget; the 10-leaf pool kept beside them does not
+    assert word_count_bound(1, 1) * word_count_bound(1, 10) <= fw.ENUM_BUDGET
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 191397492 trees exceeds budget 100000000$"):
+        fw.count_reduced_rooted(1, 1, 10, fw.MUL)
     with pytest.raises(ResourceGuardError):
         with monkeypatch.context() as m:
             m.setattr(fw, "ENUM_BUDGET", 1000)
             fw.count_reduced_rooted(2, 3, 3, fw.MUL)
+
+
+def test_refusal_comes_before_any_pool(monkeypatch):
+    # A refused job builds no subtree pool.  The admitted ones, seconds to
+    # minutes of work if run, stop at their first pool here.
+    class PoolBuilt(Exception):
+        pass
+
+    def pools(*args, **kwargs):
+        raise PoolBuilt
+
+    monkeypatch.setattr(fw, "_pools", pools)
+    for call in (lambda: fw.count_reduced(1, 11), lambda: fw.enumerate_basic_trees(1, 11),
+                 lambda: fw.count_reduced_rooted(1, 1, 10, fw.MUL), lambda: fw.count_reduced_rooted(10_000, 1, 1, fw.MUL)):
+        with pytest.raises(ResourceGuardError):
+            call()
+    for call in (lambda: fw.count_reduced(1, 10), lambda: fw.enumerate_basic_trees(1, 10),
+                 lambda: fw.count_reduced_rooted(1, 1, 9, fw.MUL), lambda: fw.count_reduced_rooted(9_999, 1, 1, fw.MUL)):
+        with pytest.raises(PoolBuilt):
+            call()
 
 
 def test_nodal_class_of_leaf():
