@@ -142,7 +142,7 @@ def cmd_compute(args) -> tuple[int, str]:
         raise DomainError(f"compute needs s >= 0 and n >= 0, got s={args.s} n={args.n}")
     if args.s == 0 or args.n == 0:
         _note(f"degenerate input s={args.s} n={args.n}: no such words, count is 0")
-        return EXIT_OK, "0\n"
+        return EXIT_OK, "0\n" if args.mode == "exact" else "-inf\n"
     if args.mode == "exact":
         return EXIT_OK, f"{enumeration.build_table(args.s, args.n, args.cache_dir)[args.n]}\n"
     table = asymptotics.log_peri_table(args.s, max(args.n, 2))

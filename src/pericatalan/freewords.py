@@ -103,12 +103,12 @@ def leaf_count(w) -> int:
     return leaf_count(w[1]) + leaf_count(w[2])
 
 
-def _guard_enum(s, a, b=0):
-    # The oracle's one limit, ENUM_BUDGET, read at call time.  A job on a
-    # leaves (b = 0) is priced at word_count_bound(s, a) trees, a rooted
-    # split at its pairs plus the max(a, b)-leaf pool it keeps.  Each bound
-    # is walked up as in enumeration._load_cache and cut off past the
-    # budget, so a huge job prices only small integers.
+def _guard_enum(s, a, b=0, kept=0):
+    # The oracle's one limit, ENUM_BUDGET, read at call time.  A job is
+    # priced at the trees it streams, word_count_bound(s, a) for b = 0 and
+    # the pairs of a rooted split otherwise, plus the kept-leaf pool it
+    # holds, if any.  Each bound is walked up as in enumeration._load_cache
+    # and cut off past the budget, so a huge job prices only small integers.
     if s < 1 or a < 1:
         raise DomainError(f"enumeration needs s >= 1 and n >= 1, got s={s} n={a}")
 
@@ -120,7 +120,7 @@ def _guard_enum(s, a, b=0):
             t = t * 3 * s * 2 * (2 * m - 1) // (m + 1)
         return t
 
-    price = trees(a) * trees(b) + trees(max(a, b)) if b else trees(a)
+    price = (trees(a) * trees(b) if b else trees(a)) + (trees(kept) if kept else 0)
     if price > ENUM_BUDGET:
         raise ResourceGuardError(f"oracle job of at least {price} trees exceeds budget {ENUM_BUDGET}")
 
@@ -148,10 +148,11 @@ def enumerate_basic_trees(s: int, n: int):
     """Stream of every basic tree with n leaves on s generators.
 
     Deterministic order; total count 3^(n-1) * s^n * catalan(n).  That
-    count is priced against ENUM_BUDGET, read at call time, before any
-    tree or subtree pool is built.
+    count, plus the (n-1)-leaf pool held while streaming, is priced
+    against ENUM_BUDGET, read at call time, before any tree or subtree
+    pool is built.
     """
-    _guard_enum(s, n)
+    _guard_enum(s, n, kept=n - 1)
     return iter(range(1, s + 1)) if n == 1 else _products(_pools(s, n - 1), n)
 
 
@@ -253,7 +254,7 @@ def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
         raise DomainError(f"root must be an OpSymbol, got {root!r}")
     if s < 1 or a < 1 or b < 1:
         raise DomainError(f"count_reduced_rooted needs s, a, b >= 1, got s={s} a={a} b={b}")
-    _guard_enum(s, a, b)
+    _guard_enum(s, a, b, kept=max(a, b))
     pools = _pools(s, max(a, b), reduced=True)
     if not root.is_basic:
         root, a, b = root.opposite, b, a

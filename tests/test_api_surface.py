@@ -2,7 +2,9 @@
 
 Every public module-level def and class in src/pericatalan must be named
 somewhere in src/, scripts/ or perfbench/ outside its own definition.
-The re-export in pericatalan/__init__.py does not count.
+Names read in pericatalan/__init__.py do not count; that file imports
+nothing, so `import pericatalan` loads no submodule, and the exact routes
+(enumeration, euclid, freewords) load no numpy.
 
 Every public method or property of a public class (dunders are exempt)
 must be read as an attribute somewhere in src/, scripts/ or perfbench/
@@ -18,6 +20,8 @@ the same name counts too.
 
 import ast
 import os
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PACKAGE = os.path.join(ROOT, "src", "pericatalan")
@@ -161,3 +165,21 @@ def test_every_defaulted_parameter_has_a_non_test_caller():
     unused = [f"{path}: {name}({parameter})" for path, name, parameter, position in _defaulted_parameters()
               if not any(_passes(call, parameter, position) for call in calls.get(name, []))]
     assert not unused, "parameters that only tests pass:\n" + "\n".join(unused)
+
+
+def test_package_init_imports_nothing():
+    # every name is imported from the module that defines it
+    tree = _parse(os.path.join(PACKAGE, "__init__.py"))
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, "pericatalan/__init__.py imports:\n" + "\n".join(imports)
+
+
+def test_import_boundary_in_a_fresh_interpreter():
+    code = ("import sys\n"
+            "import pericatalan\n"
+            "print(sorted(m for m in sys.modules if m.startswith('pericatalan.') or m == 'numpy'))\n"
+            "import pericatalan.enumeration, pericatalan.freewords, pericatalan.euclid\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\nFalse\n", (proc.stdout, proc.stderr)

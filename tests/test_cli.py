@@ -51,6 +51,10 @@ def test_compute_degenerate(capsys):
     assert rc == 0 and out == "0\n" and "degenerate" in err
     rc, out, err = run(capsys, "compute", "--s", "3", "--n", "0")
     assert rc == 0 and out == "0\n" and "degenerate" in err
+    # ln 0, as log_peri_table holds it at n = 0; never 0, which is ln 1
+    for s, n in (("3", "0"), ("0", "5")):
+        rc, out, err = run(capsys, "compute", "--s", s, "--n", n, "--mode", "logspace")
+        assert rc == 0 and out == "-inf\n" and "degenerate" in err
 
 
 def test_compute_domain_error(capsys):
@@ -294,17 +298,20 @@ def test_oracle_budget_flag(capsys, monkeypatch):
 def test_oracle_limits_are_read_at_call_time(capsys, monkeypatch):
     # the library and pcat follow a module constant changed after import
     fw = freewords
-    for call in (lambda: fw.enumerate_basic_trees(1, 11), lambda: fw.count_reduced(1, 11)):
-        with pytest.raises(ResourceGuardError, match="^oracle job of at least 991787004 trees exceeds budget 100000000$"):
-            call()
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 991787004 trees exceeds budget 100000000$"):
+        fw.count_reduced(1, 11)
+    # the stream plus the (n-1)-leaf pool it holds
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 1087485750 trees exceeds budget 100000000$"):
+        fw.enumerate_basic_trees(1, 11)
     rc, out, err = run(capsys, "oracle", "--s", "1", "--n", "11")
     assert rc == 4 and out == "" and "oracle job of at least 991787004 trees exceeds budget 100000000" in err
     rc, out, _ = run(capsys, "oracle", "--s", "1", "--rooted", "5,4")
     assert rc == 0 and out.count(" ok\n") == 6
     monkeypatch.setattr(fw, "ENUM_BUDGET", 10)
-    for call in (lambda: fw.enumerate_basic_trees(1, 3), lambda: fw.count_reduced(1, 3)):
-        with pytest.raises(ResourceGuardError, match="^oracle job of at least 18 trees exceeds budget 10$"):
-            call()
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 18 trees exceeds budget 10$"):
+        fw.count_reduced(1, 3)
+    with pytest.raises(ResourceGuardError, match="^oracle job of at least 21 trees exceeds budget 10$"):
+        fw.enumerate_basic_trees(1, 3)
     # 18 pairs plus the 3-leaf pool of 18 trees
     with pytest.raises(ResourceGuardError, match="^oracle job of at least 36 trees exceeds budget 10$"):
         fw.count_reduced_rooted(1, 3, 1, fw.MUL)

@@ -110,10 +110,13 @@ def test_enumeration_guards(monkeypatch):
     with pytest.raises(ResourceGuardError):
         gen = fw.enumerate_basic_trees(3, 7)
     assert gen is None
-    # a budget of exactly the tree count admits the job
+    # a budget of exactly the streamed trees plus the 3-leaf pool admits the job
     with monkeypatch.context() as m:
-        m.setattr(fw, "ENUM_BUDGET", word_count_bound(2, 4))
+        m.setattr(fw, "ENUM_BUDGET", word_count_bound(2, 4) + word_count_bound(2, 3))
         assert sum(1 for _ in fw.enumerate_basic_trees(2, 4)) == 2160
+        m.setattr(fw, "ENUM_BUDGET", word_count_bound(2, 4) + word_count_bound(2, 3) - 1)
+        with pytest.raises(ResourceGuardError, match="^oracle job of at least 2304 trees exceeds budget 2303$"):
+            fw.enumerate_basic_trees(2, 4)
     # the budget alone limits length; counted as a stream, never held as a list
     assert sum(1 for _ in fw.enumerate_basic_trees(1, 9)) == word_count_bound(1, 9)
 
@@ -221,7 +224,8 @@ def test_count_reduced_rooted_guards(monkeypatch):
 
 def test_refusal_comes_before_any_pool(monkeypatch):
     # A refused job builds no subtree pool.  The admitted ones, seconds to
-    # minutes of work if run, stop at their first pool here.
+    # minutes of work if run, stop at their first pool here.  enumerate (1, 10)
+    # streams 95 698 746 trees but holds the 9-leaf pool of 9 382 230 beside them.
     class PoolBuilt(Exception):
         pass
 
@@ -229,11 +233,11 @@ def test_refusal_comes_before_any_pool(monkeypatch):
         raise PoolBuilt
 
     monkeypatch.setattr(fw, "_pools", pools)
-    for call in (lambda: fw.count_reduced(1, 11), lambda: fw.enumerate_basic_trees(1, 11),
+    for call in (lambda: fw.count_reduced(1, 11), lambda: fw.enumerate_basic_trees(1, 10),
                  lambda: fw.count_reduced_rooted(1, 1, 10, fw.MUL), lambda: fw.count_reduced_rooted(10_000, 1, 1, fw.MUL)):
         with pytest.raises(ResourceGuardError):
             call()
-    for call in (lambda: fw.count_reduced(1, 10), lambda: fw.enumerate_basic_trees(1, 10),
+    for call in (lambda: fw.count_reduced(1, 10), lambda: fw.enumerate_basic_trees(1, 9),
                  lambda: fw.count_reduced_rooted(1, 1, 9, fw.MUL), lambda: fw.count_reduced_rooted(9_999, 1, 1, fw.MUL)):
         with pytest.raises(PoolBuilt):
             call()
