@@ -165,8 +165,9 @@ def cmd_table(args) -> tuple[int, str]:
             columns[s] = enumeration.build_table(s, args.n_max, args.cache_dir).values
     rows = [(n, s, columns[s][n]) for n in range(1, args.n_max + 1) for s in args.s_list]
     if args.fmt == "text":
-        width = max(len(str(p)) for _, _, p in rows)
-        body = "".join(f"n={n:<4d} s={s:<4d} P={p:>{width}}\n" for n, s, p in rows)
+        texts = [str(p) for _, _, p in rows]  # str of a bigint is quadratic: render each once
+        width = max(map(len, texts))
+        body = "".join(f"n={n:<4d} s={s:<4d} P={p:>{width}}\n" for (n, s, _), p in zip(rows, texts))
     else:
         body = _render(args.fmt, ("n", "s", "P"), rows)
     return EXIT_OK, body

@@ -494,6 +494,12 @@ def test_log_ceiling_refusal_line(capsys):
     assert (rc, out, err) == (4, "", "refused: log table past n=10000 (requested n=10001)\n")
 
 
+def test_column_guard_refusal_line(capsys):
+    rc, out, err = run(capsys, "compute", "--s", "1", "--n", "3001")
+    assert (rc, out, err) == (4, "", "refused: exact column to n=3001: n = 2 .. 3001 at s=1 is priced at 1.001 "
+                                     "times the cold s=1 column to n=3000, past enumeration.COLUMN_CEILING = 1\n")
+
+
 def test_word_reduced_query(capsys):
     rc, out, _ = run(capsys, "word", "--word", "(a*(a\\b))")
     assert rc == 0

@@ -259,7 +259,7 @@ def test_fill_guard_prices_the_triangle(monkeypatch):
     monkeypatch.setattr(enumeration, "FILL_CEILING", 1000)
     # reads below the filled top need no growth and pass
     assert aux_bivariate(1, 30, 10, memo) == _m_walk(memo["p"], 30, 10)
-    with pytest.raises(ResourceGuardError, match=r"refused \(requested n=41: "):
+    with pytest.raises(ResourceGuardError, match=r"^verifier fill past 0 MB \(requested n=41: "):
         peri_catalan_recursive(1, 41, memo)
     with pytest.raises(ResourceGuardError, match=r"requested n=12"):
         aux_bivariate(2, 12, 5)
@@ -276,7 +276,7 @@ def _closed_form_sentinel(*args):
 def test_column_guard_refuses_before_any_bigint_work(tmp_path, monkeypatch):
     # s = 10^200 to n = 3000 would take about a day; the price comes first.
     monkeypatch.setattr(enumeration, "_closed_form_value", _closed_form_sentinel)
-    with pytest.raises(ResourceGuardError, match=r"to n=3000 refused: .*enumeration\.COLUMN_CEILING"):
+    with pytest.raises(ResourceGuardError, match=r"^exact column to n=3000: .*enumeration\.COLUMN_CEILING"):
         build_table(10**200, 3000, str(tmp_path))
     assert not list(tmp_path.iterdir())
     with pytest.raises(ResourceGuardError):
@@ -288,7 +288,7 @@ def test_column_guard_keeps_the_s1_boundary(monkeypatch):
     monkeypatch.setattr(enumeration, "_closed_form_value", _closed_form_sentinel)
     with pytest.raises(_Sentinel):
         build_table(1, 3000)
-    with pytest.raises(ResourceGuardError, match=r"to n=3001 refused"):
+    with pytest.raises(ResourceGuardError, match=r"^exact column to n=3001: "):
         build_table(1, 3001)
     with pytest.raises(ResourceGuardError, match=r"priced at inf times"):
         build_table(1, 10**100)  # n**3.36 would overflow a float
@@ -406,6 +406,19 @@ def test_cache_bound_check_is_exact(tmp_path):
         build_table(2, 250, str(tmp_path))
 
 
+def test_cache_low_end_is_exact(tmp_path):
+    # Each value at exactly 3s times the one before passes the low end,
+    # so the running low end must equal 3s P(s, n - 1) at each n up to 250.
+    path = _cache_file(tmp_path, 2)
+    lines = [f"{n} {2 * 6 ** (n - 1)}" for n in range(1, 251)]
+    _write_signed(path, 2, lines)
+    assert build_table(2, 250, str(tmp_path)).values[250] == 2 * 6**249
+    lines[-1] = f"250 {2 * 6**249 - 1}"
+    _write_signed(path, 2, lines)
+    with pytest.raises(CacheIntegrityError, match=":251: value out of range for s=2 n=250"):
+        build_table(2, 250, str(tmp_path))
+
+
 def test_cache_extends_and_truncates(tmp_path):
     d = str(tmp_path)
     build_table(2, 5, d)
@@ -503,7 +516,7 @@ def test_cache_corrupt_value_detected(tmp_path):
     lines = path.read_text().splitlines()
     lines[2] = "2 11"  # under the bound, but not the forced value 3*s^2
     _write_signed(path, 2, lines[1:])
-    with pytest.raises(CacheIntegrityError, match=r"P\(s,2\)"):
+    with pytest.raises(CacheIntegrityError, match=r":3: value out of range for s=2 n=2"):
         build_table(2, 6, str(tmp_path))
 
 
@@ -531,8 +544,10 @@ def test_cache_unreadable_is_cache_error(tmp_path):
     (b"1 2\n2 12 0\n", "expected '<n> <value>'"),
     (b"1 2\n2 0x0c\n", "non-integer field"),
     (b"", "no entries"),
-    (b"1 1\n2 12\n", r"P\(s,1\)=1 != s=2"),
-], ids=["non-ascii", "malformed-line", "non-integer", "no-entries", "first-value"])
+    (b"1 1\n2 12\n", r":2: value out of range for s=2 n=1"),
+    (b"1 2\n2 12\n3 120\n4 120\n", r":5: value out of range for s=2 n=4"),  # stale: P(2, 3) again
+    (b"1 2\n2 12\n3 120\n4 175\n", r":5: value out of range for s=2 n=4"),  # 1752 without its last digit
+], ids=["non-ascii", "malformed-line", "non-integer", "no-entries", "first-value", "stale", "cut-short"])
 def test_cache_signed_body_refused(tmp_path, body, match):
     # each body carries a correct digest, so only the per-line checks stand
     digest = hashlib.sha256(body).hexdigest()
