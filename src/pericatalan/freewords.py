@@ -25,11 +25,16 @@ swaps, and also accepts full trees.
 
 The brute-force oracle (count_reduced, count_reduced_rooted) builds its
 subtree pools from reduced trees only.  Every subterm of a reduced word
-is reduced, so these pools lose no reduced word, and a candidate built
-from them is reduced iff its root matches no pattern.  Every top-level
-candidate is still built and tested, so the oracle counts without any
-formula and stays an independent check on the closed form and the
-recursion.
+is reduced, so these pools lose no reduced word, and a candidate
+(op, u, v) drawn from them is reduced iff its root matches no pattern.
+The top-level candidates are not built one by one: for each root op
+and pair of pools the oracle scans the pools for the candidates that
+match the op's v-side pattern (v's root op is the pattern's and one of
+v's children equals u) or its u-side one (the same with u and v
+swapped), and subtracts them from the product of the pool sizes.  No
+candidate matches both, since that needs u a child of v and v a child
+of u.  The oracle still counts without any formula and stays an
+independent check on the closed form and the recursion.
 
 Nodal equivalence: swapping the children of any node while replacing
 its operation with the opposite leaves the denoted element fixed.  The
@@ -156,24 +161,19 @@ def enumerate_basic_trees(s: int, n: int):
     return iter(range(1, s + 1)) if n == 1 else _products(_pools(s, n - 1), n)
 
 
+# The six patterns, two per basic root op, as (vop, vi, uop, ui): (op, u, v)
+# cancels iff v[0] is vop and v[vi] == u, or u[0] is uop and u[ui] == v.
+_ROOT_PATTERNS = {
+    MUL: (LDIV, 1, RDIV, 2),  # A*(A\B), (B/A)*A
+    LDIV: (MUL, 1, RDIV, 1),  # A\(A*B), (A/B)\A
+    RDIV: (LDIV, 2, MUL, 2),  # A/(B\A), (B*A)/A
+}
+
+
 def _basic_root_match(op, u, v):
     # Does (op, u, v) match one of the six patterns at its root?
-    if op is MUL:
-        if type(v) is tuple and v[0] is LDIV and v[1] == u:
-            return True  # A*(A\B)
-        if type(u) is tuple and u[0] is RDIV and u[2] == v:
-            return True  # (B/A)*A
-    elif op is LDIV:
-        if type(v) is tuple and v[0] is MUL and v[1] == u:
-            return True  # A\(A*B)
-        if type(u) is tuple and u[0] is RDIV and u[1] == v:
-            return True  # (A/B)\A
-    else:
-        if type(u) is tuple and u[0] is MUL and u[2] == v:
-            return True  # (B*A)/A
-        if type(v) is tuple and v[0] is LDIV and v[2] == u:
-            return True  # A/(B\A)
-    return False
+    vop, vi, uop, ui = _ROOT_PATTERNS[op]
+    return (type(v) is tuple and v[0] is vop and v[vi] == u) or (type(u) is tuple and u[0] is uop and u[ui] == v)
 
 
 def is_reduced(w) -> bool:
@@ -225,31 +225,70 @@ def is_reduced_triality(w) -> bool:
     return not _triality_root_match(op, u, v)
 
 
+def _op_index(pool):
+    # The members of a pool by root op, one list slot per member; a leaf
+    # has no root op and is in no list.
+    index = {op: [] for op in BASIC_OPS}
+    for t in pool:
+        if type(t) is tuple:
+            index[t[0]].append(t)
+    return index
+
+
+def _cancelled(op, us, u_index, vs, v_index):
+    # How many candidates (op, u, v), u from us and v from vs, match a
+    # pattern at the root.  The loop runs over the smaller pool; each of
+    # its members is tested against the other pool in two list.count
+    # scans.  One scan reads the vi-children of the other pool's members
+    # under vop for the v-side pattern (v[vi] == u); the other counts the
+    # other pool's members equal to the member's ui-child for the u-side
+    # one (u[ui] == v).  No candidate matches both: that needs u a child
+    # of v and v a child of u, and a tree is never a subtree of its own
+    # child.  So the two halves' hits add, and none is counted twice.
+    vop, vi, uop, ui = _ROOT_PATTERNS[op]
+    if len(us) <= len(vs):
+        kids = [v[vi] for v in v_index[vop]]
+        return sum(map(kids.count, us)) + sum(vs.count(u[ui]) for u in u_index[uop])
+    kids = [u[ui] for u in u_index[uop]]
+    return sum(map(kids.count, vs)) + sum(us.count(v[vi]) for v in v_index[vop])
+
+
 def count_reduced(s: int, n: int) -> int:
     """Brute-force reduced-word count, independent of the counting
     formulas.
 
-    Every candidate (op, u, v) with u and v drawn from the pools of
-    reduced subtrees is built and its root tested against the six
-    patterns; the subtrees need no test, being reduced already.  The
-    guard still prices the full 3^(n-1) s^n C_n basic trees against
-    ENUM_BUDGET, read at call time: to lift the limit, set the module
-    constant."""
+    The candidates are the trees (op, u, v) with u and v drawn from the
+    pools of reduced subtrees; the subtrees need no test, being reduced
+    already.  For each split and root op the count is |pool_a|·|pool_b|
+    less the candidates whose root matches one of the six patterns,
+    found by scanning the pools (see _cancelled), not by building each
+    candidate.  The guard still prices the full 3^(n-1) s^n C_n basic
+    trees against ENUM_BUDGET, read at call time: to lift the limit, set
+    the module constant."""
     _guard_enum(s, n)
     if n == 1:
         return s
-    return sum(1 for t in _products(_pools(s, n - 1, reduced=True), n) if not _basic_root_match(*t))
+    pools = _pools(s, n - 1, reduced=True)
+    index = {m: _op_index(pool) for m, pool in pools.items()}
+    total = 0
+    for a in range(1, n):
+        us, vs = pools[a], pools[n - a]
+        for op in BASIC_OPS:
+            total += len(us) * len(vs) - _cancelled(op, us, index[a], vs, index[n - a])
+    return total
 
 
 def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
     """Reduced trees joining an a-leaf and a b-leaf basic subtree under
     a fixed root operation, any of the six.
 
-    Each pair from the reduced a- and b-leaf pools is joined and only
-    the root tested; an opposite root is tested through its basic nodal
-    representative (op.opposite, y, x).  The guard prices the pairs of
-    the full basic a- and b-leaf pools plus the max(a, b)-leaf pool it
-    keeps against ENUM_BUDGET, read at call time."""
+    The count is |pool_a|·|pool_b| less the pairs from the reduced a-
+    and b-leaf pools whose join matches a pattern at the root, found by
+    scanning the two pools (see _cancelled); an opposite root is tested
+    through its basic nodal representative (op.opposite, y, x).  The
+    guard prices the pairs of the full basic a- and b-leaf pools plus
+    the max(a, b)-leaf pool it keeps against ENUM_BUDGET, read at call
+    time."""
     if not isinstance(root, OpSymbol):
         raise DomainError(f"root must be an OpSymbol, got {root!r}")
     if s < 1 or a < 1 or b < 1:
@@ -258,7 +297,8 @@ def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
     pools = _pools(s, max(a, b), reduced=True)
     if not root.is_basic:
         root, a, b = root.opposite, b, a
-    return sum(1 for x in pools[a] for y in pools[b] if not _basic_root_match(root, x, y))
+    us, vs = pools[a], pools[b]
+    return len(us) * len(vs) - _cancelled(root, us, _op_index(us), vs, _op_index(vs))
 
 
 def _orbit(w):

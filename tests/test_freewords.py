@@ -178,8 +178,9 @@ def test_reduced_pools_are_the_full_walk_filter(s):
         assert reduced[m] == [t for t in full[m] if fw.is_reduced(t)]
 
 
-@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("s", [1, 2, 3])
 def test_count_reduced_rooted_matches_full_walk(s):
+    # (a, b) and (b, a) both run, so the scan meets each pool on either side
     full = fw._pools(s, 4)
     for a in range(1, 5):
         for b in range(1, 6 - a):
@@ -189,6 +190,32 @@ def test_count_reduced_rooted_matches_full_walk(s):
                 else:
                     want = sum(fw.is_reduced((root.opposite, y, x)) for x in full[a] for y in full[b])
                 assert fw.count_reduced_rooted(s, a, b, root) == want, (a, b, root)
+
+
+def test_no_candidate_matches_both_root_patterns():
+    # The scan adds the hits of its u-side and v-side halves; that is exact
+    # only if no candidate matches both.  Each half is hit somewhere, and
+    # their sum is what the scan and the full root test count.
+    pools = fw._pools(2, 4, reduced=True)
+    index = {m: fw._op_index(pool) for m, pool in pools.items()}
+    for op in fw.BASIC_OPS:
+        vop, vi, uop, ui = fw._ROOT_PATTERNS[op]
+        hits = {"u": 0, "v": 0}
+        for a in range(1, 5):
+            for b in range(1, min(4, 6 - a) + 1):  # both pools, at most 6 leaves in all
+                v_hits = u_hits = matched = 0
+                for u in pools[a]:
+                    for v in pools[b]:
+                        v_side = type(v) is tuple and v[0] is vop and v[vi] == u
+                        u_side = type(u) is tuple and u[0] is uop and u[ui] == v
+                        assert not (v_side and u_side), fw.format_word((op, u, v))
+                        v_hits += v_side
+                        u_hits += u_side
+                        matched += not fw.is_reduced((op, u, v))
+                assert v_hits + u_hits == matched == fw._cancelled(op, pools[a], index[a], pools[b], index[b])
+                hits["u"] += u_hits
+                hits["v"] += v_hits
+        assert hits["u"] and hits["v"], op
 
 
 def test_totality_reduced_plus_unreduced():
