@@ -52,6 +52,7 @@ numbers; the command line owns every output layout.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +64,15 @@ _LOG3 = math.log(3.0)
 # logsumexp terms, 0.2-0.35 s at n = 10 000.  The band is (n + 1)(W + 1)
 # doubles, 3.0 MB at s = 1.
 LOG_CEILING = 10_000
+
+# largest price of a defect_series request, in logsumexp terms.  A table's
+# rows cost numpy calls whatever their length: each is counted as
+# _ROW_TERMS terms, about its 15-25 us against 3.8 ns a term (2 vCPUs).
+# The pcat fit defaults, 100 tables at n = 2000 (3-6 s), cost 9.2e8; the
+# limit admits 1087 such tables, 151 at n = 10 000 or 610 277 at n = 3,
+# which took 34, 33 and 26 s.
+DEFECT_CEILING = 10**10
+_ROW_TERMS = 4096
 
 
 _CUT = 40.0  # exp(-40) < 2^-54: 1 - t rounds to exactly 1.0 below it
@@ -192,7 +202,23 @@ def cancelation_defect(s: int, n: int, table: LogTable) -> float:
 
 
 def defect_series(s_values, proxy_n: int = 2000):
-    """(s, defect at proxy_n) for each s, one log table per s."""
+    """(s, defect at proxy_n) for each s, one log table per s.
+
+    s_values is a list or a range.  The whole request is priced before
+    its first table: each table at its proxy_n**2 // 4 logsumexp terms
+    plus its proxy_n + 1 rows at _ROW_TERMS terms each, against
+    DEFECT_CEILING, read at call time.  The tables are counted only up
+    to the first one past the limit, so a huge range is priced in
+    small integers."""
+    if proxy_n < 2:
+        raise DomainError(f"defect_series needs proxy_n >= 2, got {proxy_n}")
+    per_table = _ROW_TERMS * (proxy_n + 1) + proxy_n * proxy_n // 4
+    tables = sum(1 for _ in islice(s_values, DEFECT_CEILING // per_table + 1))
+    if tables * per_table > DEFECT_CEILING:
+        raise ResourceGuardError(
+            f"defect series of at least {tables} log tables to n={proxy_n} costs at least"
+            f" {tables * per_table} logsumexp terms, over the {DEFECT_CEILING} limit"
+        )
     out = []
     for s in s_values:
         table = log_peri_table(s, proxy_n)

@@ -237,14 +237,13 @@ def _op_index(pool):
 
 def _cancelled(op, us, u_index, vs, v_index):
     # How many candidates (op, u, v), u from us and v from vs, match a
-    # pattern at the root.  The loop runs over the smaller pool; each of
-    # its members is tested against the other pool in two list.count
-    # scans.  One scan reads the vi-children of the other pool's members
-    # under vop for the v-side pattern (v[vi] == u); the other counts the
-    # other pool's members equal to the member's ui-child for the u-side
-    # one (u[ui] == v).  No candidate matches both: that needs u a child
-    # of v and v a child of u, and a tree is never a subtree of its own
-    # child.  So the two halves' hits add, and none is counted twice.
+    # pattern at the root: the v-side ones (v[0] is vop, v[vi] == u) plus
+    # the u-side ones (u[0] is uop, u[ui] == v).  Only members with the
+    # pattern's root op can hold the repeated child, so each side reads
+    # one list of an op index.  The Python loop runs over the smaller
+    # pool, and each list.count scans the other side in C.  No candidate
+    # matches both sides: u a child of v and v a child of u would make u
+    # a proper subtree of itself.  So the two sides' hits add.
     vop, vi, uop, ui = _ROOT_PATTERNS[op]
     if len(us) <= len(vs):
         kids = [v[vi] for v in v_index[vop]]

@@ -275,6 +275,27 @@ def test_defect_series_shape():
     assert series[0][1] > series[1][1]
 
 
+def test_defect_series_price(monkeypatch):
+    # the fit defaults (a10's series) and growth_experiments.py's defaults
+    # are one request, admitted with room
+    defaults = 100 * (asymptotics._ROW_TERMS * 2001 + 2000**2 // 4)
+    assert defaults * 10 < asymptotics.DEFECT_CEILING
+    # the limit is read at call time, and the whole request is priced
+    monkeypatch.setattr(asymptotics, "DEFECT_CEILING", 2 * (asymptotics._ROW_TERMS * 51 + 50**2 // 4))
+    assert len(defect_series([1, 2], 50)) == 2
+    with pytest.raises(ResourceGuardError, match="^defect series of at least 3 log tables to n=50 costs at least "):
+        defect_series([1, 2, 3], 50)
+    # the rows are priced too: at n = 3 a table sums only 2 logsumexp terms
+    monkeypatch.setattr(asymptotics, "DEFECT_CEILING", 10**6)
+    with pytest.raises(ResourceGuardError):
+        defect_series(range(1, 10**6), 3)
+    with pytest.raises(DomainError):
+        defect_series([1], -1)
+    # a range too long for len() is priced too, by its first tables
+    with pytest.raises(ResourceGuardError, match="^defect series of at least 62 log tables to n=3 "):
+        defect_series(range(1, 10**40), 3)
+
+
 def test_no_quotient_violation_small():
     for s in (1, 3):
         assert first_quotient_violation(log_peri_table(s, 60)) is None

@@ -10,7 +10,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pericatalan import asymptotics, cli, enumeration, freewords
 from pericatalan.enumeration import build_table
@@ -483,6 +483,24 @@ def test_fit_proxy_n_two_names_flag(capsys):
     assert rc == 2 and "proxy" in err
 
 
+@pytest.mark.parametrize("proxy_n", ["2000", "3"])
+def test_fit_request_refused_before_any_table(capsys, monkeypatch, proxy_n):
+    # a billion tables, at the default depth or the shallowest, are priced
+    # as one request: no table is built, nothing is printed
+    class TableBuilt(Exception):
+        pass
+
+    def table(*args, **kwargs):
+        raise TableBuilt
+
+    monkeypatch.setattr(asymptotics, "log_peri_table", table)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "fit", "--s-max", "1000000000", "--proxy-n", proxy_n)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4 and out == ""
+    assert re.match(rf"refused: defect series of at least \d+ log tables to n={proxy_n} costs at least \d+ ", err)
+
+
 def test_log_ceiling_exits_four(capsys, monkeypatch):
     monkeypatch.setattr(asymptotics, "LOG_CEILING", 50)
     rc, out, err = run(capsys, "quotient", "--s", "1", "--n-max", "51")
@@ -725,3 +743,71 @@ def test_readme_cli_section_names_exactly_the_parser_flags():
     flags = {opt for p in subparsers.choices.values() for a in p._actions for opt in a.option_strings
              if opt.startswith("--")}
     assert documented == flags - {"--help"}
+
+
+# Random argv over the seven subcommands: flags of the subcommand or of
+# another one, good and bad values, huge ints, bad words and bad paths.
+_ARGV_GOOD_INT = st.integers(1, 12).map(str)
+_ARGV_INT = st.one_of(  # one_of draws each branch alike: good ints twice, so most ints are good
+    _ARGV_GOOD_INT, _ARGV_GOOD_INT, st.integers(-2, 14).map(str),
+    st.sampled_from(["10" * 20, "-" + "9" * 30, "1e3", "x", "", "1.5", " 7", "1_0", "\u0663"]),
+)
+_ARGV_VALUES = {
+    "--s": _ARGV_INT, "--n": _ARGV_INT, "--n-max": _ARGV_INT, "--n-min": _ARGV_INT,
+    "--s-max": _ARGV_INT, "--proxy-n": _ARGV_INT,
+    "--s-list": st.one_of(st.lists(_ARGV_INT, min_size=1, max_size=4).map(",".join), st.just("1,,2")),
+    "--rooted": st.one_of(st.lists(st.integers(-1, 7).map(str), min_size=1, max_size=3).map(",".join), st.just("a,b")),
+    "--mode": st.sampled_from(["exact", "logspace", "log"]),
+    "--format": st.sampled_from(["text", "csv", "json", "xml"]),
+    "--word": st.sampled_from(["a", "(a*b)", "((a*b)\\a)", "(a/(b\\a))", "((a*b)*(c/d))", "(((a*b)*c)*((d*e)*(f*g)))",
+                                "(a", "a)", "(a?b)", "a27", "a0", "(b*a9)", "(" * 201 + "a" + "*b)" * 201, ""]),
+    "--cache-dir": st.sampled_from(["{tmp}/cache", "{tmp}/file", "{tmp}/file/sub", ""]),
+    "--out": st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}", "{tmp}/file/out.txt"]),
+}
+_ARGV_FLAGS = {
+    "compute": (("--s", "--n"), ("--mode", "--out", "--cache-dir")),
+    "table": (("--s-list", "--n-max"), ("--format", "--out", "--cache-dir")),
+    "oracle": (("--s", ("--n", "--n-max", "--rooted")), ("--out",)),  # one span flag of the three
+    "quotient": (("--s", "--n-max"), ("--format", "--out")),
+    "regress": ((), ("--s", "--n-min", "--n-max", "--format", "--out")),
+    "fit": ((), ("--s-max", "--proxy-n", "--format", "--out")),
+    "word": (("--word",), ("--s", "--dump-class", "--format", "--out")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    required, optional = _ARGV_FLAGS[command]
+    flags = [f if type(f) is str else draw(st.sampled_from(f)) for f in required] if draw(st.integers(0, 7)) else []
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    if not draw(st.integers(0, 7)):  # a flag the subcommand may not have
+        flags.append(draw(st.sampled_from(sorted(_ARGV_VALUES))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag != "--dump-class":
+            argv.append(draw(_ARGV_VALUES[flag]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_random_argv_exits_with_a_documented_code(argv, capsys, monkeypatch, tmp_path):
+    # lowered ceilings keep every admitted job to milliseconds
+    monkeypatch.setattr(freewords, "ENUM_BUDGET", 20_000)
+    monkeypatch.setattr(freewords, "MAX_CLASS_LENGTH", 6)
+    monkeypatch.setattr(enumeration, "COLUMN_CEILING", 1e-5)
+    monkeypatch.setattr(enumeration, "FILL_CEILING", 2**20)
+    monkeypatch.setattr(asymptotics, "LOG_CEILING", 400)
+    monkeypatch.setattr(asymptotics, "DEFECT_CEILING", 10**7)
+    monkeypatch.delenv("PCAT_CACHE_DIR", raising=False)
+    (tmp_path / "file").write_text("not a directory\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:  # argparse's usage errors
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3, 4), (argv, rc, err)
+    assert "Traceback" not in err, (argv, err)

@@ -200,7 +200,7 @@ def test_no_candidate_matches_both_root_patterns():
     index = {m: fw._op_index(pool) for m, pool in pools.items()}
     for op in fw.BASIC_OPS:
         vop, vi, uop, ui = fw._ROOT_PATTERNS[op]
-        hits = {"u": 0, "v": 0}
+        u_total = v_total = 0
         for a in range(1, 5):
             for b in range(1, min(4, 6 - a) + 1):  # both pools, at most 6 leaves in all
                 v_hits = u_hits = matched = 0
@@ -213,9 +213,9 @@ def test_no_candidate_matches_both_root_patterns():
                         u_hits += u_side
                         matched += not fw.is_reduced((op, u, v))
                 assert v_hits + u_hits == matched == fw._cancelled(op, pools[a], index[a], pools[b], index[b])
-                hits["u"] += u_hits
-                hits["v"] += v_hits
-        assert hits["u"] and hits["v"], op
+                u_total += u_hits
+                v_total += v_hits
+        assert u_total and v_total, op
 
 
 def test_totality_reduced_plus_unreduced():
