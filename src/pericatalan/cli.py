@@ -210,21 +210,19 @@ def cmd_regress(args) -> tuple[int, str]:
     reg = asymptotics.linear_regression(asymptotics.regression_points(table, args.n_min, args.n_max))
     ln3s = math.log(3 * args.s)
     if args.fmt == "json":
-        body = json.dumps({
-            "s": args.s, "n_min": args.n_min, "n_max": args.n_max,
-            "slope": reg.slope, "intercept": reg.intercept,
-            "residual_stderr": reg.residual_stderr,
-            "ref_slope": REF_SLOPE, "ln_3s": ln3s,
-            "ref_intercept": REF_INTERCEPT, "minus_ln_3": -math.log(3),
-        }, indent=2) + "\n"
+        header = ("s", "n_min", "n_max", "slope", "intercept", "residual_stderr",
+                  "ref_slope", "ln_3s", "ref_intercept", "minus_ln_3")
+        row = (args.s, args.n_min, args.n_max, reg.slope, reg.intercept, reg.residual_stderr,
+               REF_SLOPE, ln3s, REF_INTERCEPT, -math.log(3))
+        body = _render("json", header, [row], lambda records: records[0])
     else:
         body = (
             f"series (n, ln P - ln C_n) for s={args.s}, n in [{args.n_min}, {args.n_max}]\n"
             f"slope            = {reg.slope:.6g}\n"
-            f"  vs 3.576       : {reg.slope - REF_SLOPE:+.6g}\n"
+            f"  vs {REF_SLOPE:<12}: {reg.slope - REF_SLOPE:+.6g}\n"
             f"  vs ln(3s)      : {reg.slope - ln3s:+.6g}  (ln {3 * args.s} = {ln3s:.6g})\n"
             f"intercept        = {reg.intercept:.6g}\n"
-            f"  vs -1.102      : {reg.intercept - REF_INTERCEPT:+.6g}\n"
+            f"  vs {REF_INTERCEPT:<12}: {reg.intercept - REF_INTERCEPT:+.6g}\n"
             f"  vs -ln 3       : {reg.intercept + math.log(3):+.6g}  (-ln 3 = {-math.log(3):.6g})\n"
             f"residual stderr  = {reg.residual_stderr:.6g}\n"
         )
@@ -242,9 +240,9 @@ def cmd_fit(args) -> tuple[int, str]:
         body = (
             f"defect(s, n={args.proxy_n}) fitted to a / (s - b) over s = 1..{args.s_max}\n"
             f"a               = {fit.a:.6g}\n"
-            f"  vs 0.01929    : {fit.a - REF_FIT_A:+.6g}\n"
+            f"  vs {REF_FIT_A:<11}: {fit.a - REF_FIT_A:+.6g}\n"
             f"b               = {fit.b:.6g}\n"
-            f"  vs 0.4811     : {fit.b - REF_FIT_B:+.6g}\n"
+            f"  vs {REF_FIT_B:<11}: {fit.b - REF_FIT_B:+.6g}\n"
             f"  vs ln((1+sqrt 5)/2) = {GOLDEN_LOG:.6g} : {fit.b - GOLDEN_LOG:+.6g}\n"
             f"residual stderr = {fit.residual_stderr:.6g}\n"
         )
@@ -263,10 +261,10 @@ def cmd_word(args) -> tuple[int, str]:
     reduced = freewords.is_reduced(tree)
     members = sorted(freewords.format_word(f) for f in freewords.nodal_class(tree)) if args.dump_class else None
     if args.fmt == "json":
-        payload = {"word": freewords.format_word(tree), "reduced": reduced}
+        header, row = ("word", "reduced"), (freewords.format_word(tree), reduced)
         if members is not None:
-            payload["nodal_class"] = members
-        body = json.dumps(payload, indent=2) + "\n"
+            header, row = header + ("nodal_class",), row + (members,)
+        body = _render("json", header, [row], lambda records: records[0])
     else:
         body = f"word: {freewords.format_word(tree)}\nreduced: {'true' if reduced else 'false'}\n"
         if members is not None:

@@ -27,14 +27,15 @@ The brute-force oracle (count_reduced, count_reduced_rooted) builds its
 subtree pools from reduced trees only.  Every subterm of a reduced word
 is reduced, so these pools lose no reduced word, and a candidate
 (op, u, v) drawn from them is reduced iff its root matches no pattern.
-The top-level candidates are not built one by one: for each root op
-and pair of pools the oracle scans the pools for the candidates that
-match the op's v-side pattern (v's root op is the pattern's and one of
-v's children equals u) or its u-side one (the same with u and v
-swapped), and subtracts them from the product of the pool sizes.  No
-candidate matches both, since that needs u a child of v and v a child
-of u.  The oracle still counts without any formula and stays an
-independent check on the closed form and the recursion.
+Both counts read one join counter, _joins, which builds the pools once
+and counts each split (a, b, op) of a list as |pool_a|·|pool_b| less
+the candidates that match the op's v-side pattern (v's root op is the
+pattern's and one of v's children equals u) or its u-side one (the same
+with u and v swapped).  These are found by scanning the pools, not by
+building each candidate.  No candidate matches both, since that needs
+u a child of v and v a child of u.  The oracle still counts without any
+formula and stays an independent check on the closed form and the
+recursion.
 
 Nodal equivalence: swapping the children of any node while replacing
 its operation with the opposite leaves the denoted element fixed.  The
@@ -252,40 +253,34 @@ def _cancelled(op, us, u_index, vs, v_index):
     return sum(map(kids.count, vs)) + sum(us.count(v[vi]) for v in v_index[vop])
 
 
+def _joins(s, up_to, splits):
+    # The reduced joins of each split (a, b, op), op basic, from one build
+    # of the reduced pools 1..up_to; only the pools the splits read are
+    # indexed.
+    pools = _pools(s, up_to, reduced=True)
+    index = {m: _op_index(pools[m]) for m in {x for a, b, _ in splits for x in (a, b)}}
+    return [len(pools[a]) * len(pools[b]) - _cancelled(op, pools[a], index[a], pools[b], index[b])
+            for a, b, op in splits]
+
+
 def count_reduced(s: int, n: int) -> int:
     """Brute-force reduced-word count, independent of the counting
-    formulas.
-
-    The candidates are the trees (op, u, v) with u and v drawn from the
-    pools of reduced subtrees; the subtrees need no test, being reduced
-    already.  For each split and root op the count is |pool_a|·|pool_b|
-    less the candidates whose root matches one of the six patterns,
-    found by scanning the pools (see _cancelled), not by building each
-    candidate.  The guard still prices the full 3^(n-1) s^n C_n basic
-    trees against ENUM_BUDGET, read at call time: to lift the limit, set
-    the module constant."""
+    formulas: the reduced joins summed over the 3(n-1) splits of n leaves
+    into a root op and two subtree sizes.  The guard still prices the
+    full 3^(n-1) s^n C_n basic trees against ENUM_BUDGET, read at call
+    time: to lift the limit, set the module constant."""
     _guard_enum(s, n)
     if n == 1:
         return s
-    pools = _pools(s, n - 1, reduced=True)
-    index = {m: _op_index(pool) for m, pool in pools.items()}
-    total = 0
-    for a in range(1, n):
-        us, vs = pools[a], pools[n - a]
-        for op in BASIC_OPS:
-            total += len(us) * len(vs) - _cancelled(op, us, index[a], vs, index[n - a])
-    return total
+    return sum(_joins(s, n - 1, [(a, n - a, op) for a in range(1, n) for op in BASIC_OPS]))
 
 
 def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
     """Reduced trees joining an a-leaf and a b-leaf basic subtree under
-    a fixed root operation, any of the six.
-
-    The count is |pool_a|·|pool_b| less the pairs from the reduced a-
-    and b-leaf pools whose join matches a pattern at the root, found by
-    scanning the two pools (see _cancelled); an opposite root is tested
-    through its basic nodal representative (op.opposite, y, x).  The
-    guard prices the pairs of the full basic a- and b-leaf pools plus
+    a fixed root operation, any of the six: the reduced joins of the one
+    split (a, b, root), an opposite root read through its basic nodal
+    representative (op.opposite, y, x) as the split (b, a, op.opposite).
+    The guard prices the pairs of the full basic a- and b-leaf pools plus
     the max(a, b)-leaf pool it keeps against ENUM_BUDGET, read at call
     time."""
     if not isinstance(root, OpSymbol):
@@ -293,11 +288,9 @@ def count_reduced_rooted(s: int, a: int, b: int, root: OpSymbol) -> int:
     if s < 1 or a < 1 or b < 1:
         raise DomainError(f"count_reduced_rooted needs s, a, b >= 1, got s={s} a={a} b={b}")
     _guard_enum(s, a, b, kept=max(a, b))
-    pools = _pools(s, max(a, b), reduced=True)
     if not root.is_basic:
         root, a, b = root.opposite, b, a
-    us, vs = pools[a], pools[b]
-    return len(us) * len(vs) - _cancelled(root, us, _op_index(us), vs, _op_index(vs))
+    return _joins(s, max(a, b), [(a, b, root)])[0]
 
 
 def _orbit(w):

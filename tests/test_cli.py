@@ -543,6 +543,17 @@ def test_word_json(capsys):
     assert len(payload["nodal_class"]) == 4
 
 
+def test_word_bytes_every_format(capsys):
+    members = ["((a\\b)@a)", "((b\\\\a)@a)", "(a*(a\\b))", "(a*(b\\\\a))"]
+    argv = ("word", "--word", "(a*(a\\b))")
+    assert run(capsys, *argv) == (0, "word: (a*(a\\b))\nreduced: false\n", "")
+    assert run(capsys, *argv, "--dump-class") == (0, "word: (a*(a\\b))\nreduced: false\n" + "".join(m + "\n" for m in members), "")
+    assert run(capsys, *argv, "--format", "json") == (0, '{\n  "word": "(a*(a\\\\b))",\n  "reduced": false\n}\n', "")
+    assert run(capsys, *argv, "--format", "json", "--dump-class") == (0, (
+        '{\n  "word": "(a*(a\\\\b))",\n  "reduced": false,\n  "nodal_class": [\n'
+        '    "((a\\\\b)@a)",\n    "((b\\\\\\\\a)@a)",\n    "(a*(a\\\\b))",\n    "(a*(b\\\\\\\\a))"\n  ]\n}\n'), "")
+
+
 def test_word_syntax_error(capsys):
     rc, _, err = run(capsys, "word", "--word", "(a*b")
     assert rc == 2 and "position" in err
