@@ -52,7 +52,6 @@ numbers; the command line owns every output layout.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -204,16 +203,16 @@ def cancelation_defect(s: int, n: int, table: LogTable) -> float:
 def defect_series(s_values, proxy_n: int = 2000):
     """(s, defect at proxy_n) for each s, one log table per s.
 
-    s_values is a list or a range.  The whole request is priced before
-    its first table: each table at its proxy_n**2 // 4 logsumexp terms
-    plus its proxy_n + 1 rows at _ROW_TERMS terms each, against
-    DEFECT_CEILING, read at call time.  The tables are counted only up
-    to the first one past the limit, so a huge range is priced in
-    small integers."""
+    s_values is a list, tuple or range; an iterator or a set raises
+    TypeError.  The whole request is priced before its first table: each
+    table at its proxy_n**2 // 4 logsumexp terms plus its proxy_n + 1
+    rows at _ROW_TERMS terms each, against DEFECT_CEILING, read at call
+    time.  The tables are counted only up to the first one past the
+    limit, so a huge range is priced in small integers."""
     if proxy_n < 2:
         raise DomainError(f"defect_series needs proxy_n >= 2, got {proxy_n}")
     per_table = _ROW_TERMS * (proxy_n + 1) + proxy_n * proxy_n // 4
-    tables = sum(1 for _ in islice(s_values, DEFECT_CEILING // per_table + 1))
+    tables = len(s_values[:DEFECT_CEILING // per_table + 1])
     if tables * per_table > DEFECT_CEILING:
         raise ResourceGuardError(
             f"defect series of at least {tables} log tables to n={proxy_n} costs at least"

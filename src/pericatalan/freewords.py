@@ -332,7 +332,7 @@ def normalize_full(f):
     return (op.opposite, nv, nu)
 
 
-_PARSE_OPS = {"*": MUL, "\\": LDIV, "/": RDIV}
+_PARSE_OPS = {op.glyph: op for op in BASIC_OPS}
 
 
 def format_word(w) -> str:

@@ -16,7 +16,7 @@ the same name counts too.
 
 pericatalan/__init__.py imports nothing, so `import pericatalan` loads
 no submodule, and the exact routes (enumeration, euclid, freewords) load
-no numpy.
+no numpy, neither on import nor when they run.
 """
 
 import ast
@@ -174,10 +174,19 @@ def test_package_init_imports_nothing():
 
 def test_import_boundary_in_a_fresh_interpreter():
     code = ("import sys\n"
+            "import tempfile\n"
             "import pericatalan\n"
             "print(sorted(m for m in sys.modules if m.startswith('pericatalan.') or m == 'numpy'))\n"
-            "import pericatalan.enumeration, pericatalan.freewords, pericatalan.euclid\n"
+            "from pericatalan import enumeration, euclid, freewords\n"
+            "print('numpy' in sys.modules)\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    enumeration.build_table(2, 6, d)\n"  # a save
+            "    enumeration.build_table(2, 8, d)\n"  # a load and an extend
+            "freewords.count_reduced(2, 4)\n"
+            "enumeration.aux_bivariate(2, 2, 2)\n"
+            "euclid.euclid_trace(10, 4)\n"
+            "freewords.parse_word('(a*b)', 2)\n"
             "print('numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "[]\nFalse\n", (proc.stdout, proc.stderr)
+    assert proc.returncode == 0 and proc.stdout == "[]\nFalse\nFalse\n", (proc.stdout, proc.stderr)

@@ -291,6 +291,9 @@ def test_defect_series_price(monkeypatch):
         defect_series(range(1, 10**6), 3)
     with pytest.raises(DomainError):
         defect_series([1], -1)
+    # the request is read once, so an iterator is refused, not priced empty
+    with pytest.raises(TypeError):
+        defect_series(iter([1, 2]), 50)
     # a range too long for len() is priced too, by its first tables
     with pytest.raises(ResourceGuardError, match="^defect series of at least 62 log tables to n=3 "):
         defect_series(range(1, 10**40), 3)
