@@ -240,7 +240,7 @@ def _cache_path(cache_dir: str, s: int) -> str:
     return os.path.join(cache_dir, f"pcat-s{s}.txt")
 
 
-def _load_cache(path: str, s: int) -> tuple | None:
+def _load_cache(path: str, s: int, n_max: int) -> tuple | None:
     # (values, body, digest) of a valid file: its values, the text after
     # its header and the sha256 object of that text, ready to be continued
     # by the lines an extension appends.  None when there is no file.
@@ -269,7 +269,7 @@ def _load_cache(path: str, s: int) -> tuple | None:
     # P(s, n) lies in [low, bound] = [3s P(s, n - 1), word_count_bound(s, n)]
     # (the lemma in asymptotics); both ends are s at n = 1 and 3s^2 at n = 2.
     low = bound = s
-    for lineno, line in enumerate(text.splitlines(), start=2):
+    for lineno, line in enumerate(text.splitlines()[:n_max], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise CacheIntegrityError(f"{path}:{lineno}: expected '<n> <value>'")
@@ -284,7 +284,7 @@ def _load_cache(path: str, s: int) -> tuple | None:
         if not low <= v <= bound:
             raise CacheIntegrityError(f"{path}:{lineno}: value out of range for s={s} n={n}")
         values.append(v)
-        low, bound = 3 * s * v, bound * 3 * s * 2 * (2 * n - 1) // (n + 1)
+        low, bound = 3 * s * v, bound * (6 * s * (2 * n - 1)) // (n + 1)
     if len(values) < 2:
         raise CacheIntegrityError(f"{path}: no entries")
     return values, text, digest
@@ -330,7 +330,7 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     if s < 1 or n_max < 1:
         raise DomainError(f"build_table needs s >= 1 and n_max >= 1, got s={s} n_max={n_max}")
     path = None if cache_dir is None else _cache_path(cache_dir, s)
-    loaded = None if path is None else _load_cache(path, s)
+    loaded = None if path is None else _load_cache(path, s, n_max)
     if loaded is None:
         values, start, body, digest = [0, s], 1, "", sha256()
     else:
