@@ -33,7 +33,8 @@ All arithmetic is exact (Python integers).  build_table is the one
 place a column grows, and peri_catalan reads it.  It adds an opt-in
 plain-text cache, one file per s, so repeated runs extend rather than
 recompute.  Its header carries a sha256 digest of the body, so a changed
-digit is refused, not served.  An extension renders only the new lines:
+digit is refused, not served.  A load hashes the whole body but parses
+only the lines it serves.  An extension renders only the new lines:
 it appends them to the body it loaded and continues that body's sha256.
 For a file the library wrote, the result has the bytes of a full
 rewrite; a hand-edited body that still passes every load check (CRLF
@@ -241,9 +242,12 @@ def _cache_path(cache_dir: str, s: int) -> str:
 
 
 def _load_cache(path: str, s: int, n_max: int) -> tuple | None:
-    # (values, body, digest) of a valid file: its values, the text after
-    # its header and the sha256 object of that text, ready to be continued
-    # by the lines an extension appends.  None when there is no file.
+    # (values, body, digest) of a valid file: its values to n_max at most,
+    # the text after its header and the sha256 object of that text, ready
+    # to be continued by the lines an extension appends.  None when there
+    # is no file.  The digest, newline and ASCII checks cover the whole
+    # body, the per-line checks the first n_max lines: all of them when
+    # the request extends, so appended lines follow a fully checked body.
     try:
         with open(path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
@@ -336,7 +340,7 @@ def build_table(s: int, n_max: int, cache_dir: str | None = None) -> PeriTable:
     else:
         values, body, digest = loaded
         if len(values) > n_max:
-            return PeriTable(s=s, values=values[: n_max + 1])
+            return PeriTable(s=s, values=values)
         start = len(values)
     check_column(s, len(values) - 1, n_max)
     while len(values) <= n_max:

@@ -643,6 +643,23 @@ def test_cache_flag_beats_env(capsys, tmp_path, monkeypatch):
     assert not (env_dir / "pcat-s2.txt").exists()
 
 
+@pytest.mark.parametrize("s", [2, 20])
+def test_warm_reads_print_the_bytes_of_a_cold_run(capsys, tmp_path, monkeypatch, s):
+    # Every request below the top of the cache prints what the same
+    # request prints with no cache, and leaves the file as it was.
+    monkeypatch.delenv("PCAT_CACHE_DIR", raising=False)
+    d = str(tmp_path)
+    assert run(capsys, "table", "--s-list", str(s), "--n-max", "40", "--cache-dir", d)[0] == 0
+    cache = tmp_path / f"pcat-s{s}.txt"
+    stamp = cache.read_bytes()
+    for n in range(1, 41):
+        requests = [("compute", "--s", str(s), "--n", str(n))]
+        requests += [("table", "--s-list", str(s), "--n-max", str(n), "--format", fmt) for fmt in ("text", "csv", "json")]
+        for argv in requests:
+            assert run(capsys, *argv, "--cache-dir", d) == run(capsys, *argv)
+            assert cache.read_bytes() == stamp
+
+
 def test_corrupt_cache_exit_code(capsys, tmp_path):
     (tmp_path / "pcat-s2.txt").write_text("garbage\n")
     rc, _, err = run(capsys, "compute", "--s", "2", "--n", "5", "--cache-dir", str(tmp_path))

@@ -416,6 +416,32 @@ def test_cache_low_end_is_exact(tmp_path):
         build_table(2, 250, str(tmp_path))
 
 
+def test_cache_read_checks_the_lines_it_serves(tmp_path):
+    # A signed line past the request is neither read nor served; any
+    # request that reaches it, and any extension, refuses it.
+    path = _cache_file(tmp_path, 2)
+    _write_signed(path, 2, ["1 2", "2 12", "3 120", "4 1752", "5 1"])
+    before = path.read_bytes()
+    assert build_table(2, 4, str(tmp_path)).values == [0, 2, 12, 120, 1752]
+    for n_max in (5, 6):
+        with pytest.raises(CacheIntegrityError, match=":6: value out of range for s=2 n=5"):
+            build_table(2, n_max, str(tmp_path))
+    assert path.read_bytes() == before
+
+
+def test_cache_digest_and_decode_cover_the_whole_body(tmp_path):
+    # A request short of the changed line still refuses the file.
+    build_table(2, 10, str(tmp_path))
+    path = _cache_file(tmp_path, 2)
+    path.write_text(path.read_text().replace("10 61689134928\n", "10 61689134927\n"))
+    with pytest.raises(CacheIntegrityError, match="sha256"):
+        build_table(2, 3, str(tmp_path))
+    body = "1 2\n2 12\n3 120\n4 17\u00e952\n".encode("utf-8")
+    path.write_bytes(f"{CACHE_MAGIC} s=2 sha256={hashlib.sha256(body).hexdigest()}\n".encode() + body)
+    with pytest.raises(CacheIntegrityError, match="non-ASCII"):
+        build_table(2, 3, str(tmp_path))
+
+
 def test_cache_extends_and_truncates(tmp_path):
     d = str(tmp_path)
     build_table(2, 5, d)
@@ -557,7 +583,8 @@ def test_cache_save_failure_is_cache_error(tmp_path):
 
 def test_cache_past_int_digit_limit_is_cache_error(tmp_path, int_digit_limit):
     # P(10^200, 22) has over 4300 digits: the library leaves the limit as
-    # it finds it and reports the cache it cannot write or read.
+    # it finds it and reports the cache it cannot write or read.  A request
+    # to n = 21 reads only the lines it serves, all under the limit.
     s = 10**200
     with pytest.raises(CacheError, match="limit"):
         build_table(s, 22, str(tmp_path))
@@ -565,6 +592,7 @@ def test_cache_past_int_digit_limit_is_cache_error(tmp_path, int_digit_limit):
     sys.set_int_max_str_digits(0)
     build_table(s, 22, str(tmp_path))
     sys.set_int_max_str_digits(int_digit_limit)
+    assert build_table(s, 21, str(tmp_path)).values == build_table(s, 21).values
     with pytest.raises(CacheError, match="limit") as read:
         build_table(s, 22, str(tmp_path))
     assert not isinstance(read.value, CacheIntegrityError)  # the file is intact
