@@ -27,15 +27,17 @@ The brute-force oracle (count_reduced, count_reduced_rooted) builds its
 subtree pools from reduced trees only.  Every subterm of a reduced word
 is reduced, so these pools lose no reduced word, and a candidate
 (op, u, v) drawn from them is reduced iff its root matches no pattern.
-Both counts read one join counter, _joins, which builds the pools once
-and counts each split (a, b, op) of a list as |pool_a|·|pool_b| less
-the candidates that match the op's v-side pattern (v's root op is the
-pattern's and one of v's children equals u) or its u-side one (the same
-with u and v swapped).  These are found by scanning the pools, not by
-building each candidate.  No candidate matches both, since that needs
-u a child of v and v a child of u.  The oracle still counts without any
-formula and stays an independent check on the closed form and the
-recursion.
+Both counts read one join counter, _joins.  The reduced pools of the
+last s counted stay in memory with their op indexes, a later call on
+that s builds only the levels past their top, and another s drops them
+before it builds any.  _joins counts each split (a, b, op) of a list as
+|pool_a|·|pool_b| less the candidates that match the op's v-side
+pattern (v's root op is the pattern's and one of v's children equals u)
+or its u-side one (the same with u and v swapped).  These are found by
+scanning the pools, not by building each candidate.  No candidate
+matches both, since that needs u a child of v and v a child of u.  The
+oracle still counts without any formula and stays an independent check
+on the closed form and the recursion.
 
 Nodal equivalence: swapping the children of any node while replacing
 its operation with the opposite leaves the denoted element fixed.  The
@@ -53,6 +55,8 @@ MAX_CLASS_LENGTH = 16
 # walks (is_reduced, format_word, leaf_count) far from Python's recursion
 # limit on any parsed word.
 MAX_WORD_DEPTH = 200
+# (s, reduced pools, op indexes) of the last s counted; see _pools and _joins
+_kept = (None, {}, {})
 
 _IDENTITY = (0, 1, 2)
 _SIGMA = (1, 0, 2)
@@ -142,9 +146,14 @@ def _products(pools, m):
 def _pools(s, up_to, reduced=False):
     # All basic trees of each leaf count 1..up_to, in stream order; with
     # reduced=True only the reduced ones, each kept on its root test
-    # alone because its subtrees come from reduced pools.
-    pools = {1: list(range(1, s + 1))}
-    for m in range(2, up_to + 1):
+    # alone because its subtrees come from reduced pools.  Those are
+    # _kept's: a new s drops the old ones first, a kept s builds only
+    # the levels past its top, each stored once its list is complete.
+    global _kept
+    if reduced and _kept[0] != s:
+        _kept = (s, {1: list(range(1, s + 1))}, {})
+    pools = _kept[1] if reduced else {1: list(range(1, s + 1))}
+    for m in range(len(pools) + 1, up_to + 1):
         trees = _products(pools, m)
         pools[m] = [t for t in trees if not _basic_root_match(*t)] if reduced else list(trees)
     return pools
@@ -254,11 +263,13 @@ def _cancelled(op, us, u_index, vs, v_index):
 
 
 def _joins(s, up_to, splits):
-    # The reduced joins of each split (a, b, op), op basic, from one build
-    # of the reduced pools 1..up_to; only the pools the splits read are
-    # indexed.
+    # The reduced joins of each split (a, b, op), op basic, from the kept
+    # reduced pools 1..up_to; only the pools the splits read are indexed,
+    # each once while it is kept.
     pools = _pools(s, up_to, reduced=True)
-    index = {m: _op_index(pools[m]) for m in {x for a, b, _ in splits for x in (a, b)}}
+    index = _kept[2]
+    for m in {x for a, b, _ in splits for x in (a, b)} - index.keys():
+        index[m] = _op_index(pools[m])
     return [len(pools[a]) * len(pools[b]) - _cancelled(op, pools[a], index[a], pools[b], index[b])
             for a, b, op in splits]
 

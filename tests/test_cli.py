@@ -266,6 +266,17 @@ def test_oracle_rooted(capsys):
     assert names == [f"root={op.name}" for op in freewords.ALL_OPS]
 
 
+def test_oracle_prints_exact_lines(capsys):
+    # the same bytes on a first request and on repeats that read pools kept by earlier ones
+    rooted = "".join(f"s=2 a=1 b=5 root={op.name} oracle=53164 formula=53164 ok\n" for op in freewords.ALL_OPS)
+    swept = "".join(f"s=2 n={n} oracle={p} formula={p} ok\n"
+                    for n, p in enumerate((2, 12, 120, 1752, 28224, 487464), start=1))
+    for argv, want in ((("--s", "1", "--n", "3"), "s=1 n=3 oracle=12 formula=12 ok\n"),
+                       (("--s", "2", "--rooted", "1,5"), rooted), (("--s", "2", "--n-max", "6"), swept),
+                       (("--s", "2", "--rooted", "1,5"), rooted), (("--s", "2", "--n-max", "6"), swept)):
+        assert run(capsys, "oracle", *argv) == (0, want, "")
+
+
 def test_oracle_rooted_guard_before_formula(capsys, monkeypatch):
     # m(3000, 3000) takes minutes and gigabytes; the guard must refuse first.
     def formula(*args, **kwargs):

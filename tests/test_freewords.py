@@ -270,6 +270,89 @@ def test_refusal_comes_before_any_pool(monkeypatch):
             call()
 
 
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    # no reduced pool kept from an earlier test; the kept state is put back after
+    monkeypatch.setattr(fw, "_kept", (None, {}, {}))
+
+
+def test_kept_pools_are_built_once_per_level(fresh_pools, monkeypatch):
+    built = {}
+    products = fw._products
+
+    def counted(pools, m):
+        built[m] = built.get(m, 0) + 1
+        return products(pools, m)
+
+    monkeypatch.setattr(fw, "_products", counted)
+    for root in fw.ALL_OPS:
+        assert fw.count_reduced_rooted(2, 1, 5, root) == aux_bivariate(2, 1, 5)
+    assert built == {2: 1, 3: 1, 4: 1, 5: 1}
+    fw.count_reduced(2, 6)
+    assert built == {2: 1, 3: 1, 4: 1, 5: 1}
+    monkeypatch.setattr(fw, "_kept", (None, {}, {}))
+    built.clear()
+    assert fw.count_reduced(2, 4) == 1752
+    assert built == {2: 1, 3: 1}
+    built.clear()
+    assert fw.count_reduced(2, 6) == peri_catalan(2, 6)
+    assert built == {4: 1, 5: 1}
+
+
+def test_kept_pools_serve_only_their_s(fresh_pools):
+    # each s meets pools of another s kept with more levels than it reads
+    for s, n in ((1, 7), (2, 5), (1, 4), (3, 4), (2, 3)):
+        assert fw.count_reduced(s, n) == peri_catalan(s, n), (s, n)
+        for a in range(1, n):
+            for root in fw.ALL_OPS:
+                assert fw.count_reduced_rooted(s, a, n - a, root) == aux_bivariate(s, a, n - a), (s, a, root)
+        assert fw._kept[0] == s
+
+
+def test_interrupted_build_keeps_whole_levels(fresh_pools, monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    match = fw._basic_root_match
+    seen = 0
+
+    def failing(op, u, v):
+        nonlocal seen
+        if fw.leaf_count(u) + fw.leaf_count(v) == 5:
+            seen += 1
+            if seen == 1000:
+                raise Interrupted
+        return match(op, u, v)
+
+    fw.count_reduced(2, 4)
+    with monkeypatch.context() as m:
+        m.setattr(fw, "_basic_root_match", failing)
+        with pytest.raises(Interrupted):
+            fw.count_reduced(2, 6)
+    assert seen == 1000 and sorted(fw._kept[1]) == [1, 2, 3, 4]
+    assert fw.count_reduced(2, 6) == peri_catalan(2, 6)
+    for root in fw.ALL_OPS:
+        assert fw.count_reduced_rooted(2, 2, 3, root) == aux_bivariate(2, 2, 3)
+    kept = fw._kept[1]
+    monkeypatch.setattr(fw, "_kept", (None, {}, {}))
+    assert kept == fw._pools(2, 5, reduced=True)
+
+
+def test_refused_job_leaves_kept_pools_alone(fresh_pools, monkeypatch):
+    fw.count_reduced(2, 5)
+    kept = fw._kept
+    levels = {m: list(pool) for m, pool in kept[1].items()}
+    indexes = sorted(kept[2])
+    monkeypatch.setattr(fw, "ENUM_BUDGET", 10**5)
+    for call in (lambda: fw.count_reduced(2, 6), lambda: fw.count_reduced(3, 6),
+                 lambda: fw.count_reduced_rooted(2, 4, 3, fw.MUL), lambda: fw.count_reduced_rooted(1, 1, 9, fw.OMUL),
+                 lambda: fw.enumerate_basic_trees(1, 8)):
+        with pytest.raises(ResourceGuardError):
+            call()
+        assert fw._kept is kept and kept[0] == 2
+        assert kept[1] == levels and sorted(kept[2]) == indexes
+
+
 def test_nodal_class_of_leaf():
     assert fw.nodal_class(7) == {7}
 
